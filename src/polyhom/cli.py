@@ -65,7 +65,7 @@ def _write_json(path: str, doc: dict) -> None:
         f.write("\n")
 
 
-def _write_gnuplot_script(path: str, dat_name: str, n_series: int, labels) -> None:
+def _write_gnuplot_script(path: str, dat_name: str, labels) -> None:
     with open(path, "w") as f:
         f.write("set logscale xy\nset key left top\n")
         f.write('set xlabel "epsilon"\nset ylabel "error"\n')
@@ -76,7 +76,7 @@ def _write_gnuplot_script(path: str, dat_name: str, n_series: int, labels) -> No
 
 
 # ---------------------------------------------------------------------------
-# mode handlers: each returns (files, stdout_lines, extra_manifest)
+# mode handlers: each returns (files, stdout_lines)
 # ---------------------------------------------------------------------------
 
 def _mode_dioph(cfg, out, base):
@@ -88,7 +88,7 @@ def _mode_dioph(cfg, out, base):
                        "tau": cert.tau, "bound": cert.searched_bound,
                        "c_lower": cert.c_lower, "worst_m": list(cert.worst_m)})
     lines = [f"c_lower = {cert.c_lower!r}", f"worst_m = {tuple(cert.worst_m)}"]
-    return [path], lines, {}
+    return [path], lines
 
 
 def _mode_partition(cfg, out, base):
@@ -113,7 +113,7 @@ def _mode_partition(cfg, out, base):
         "face_measure": face[0].measure,
     })
     lines = [f"cells = {part.cell_count}", f"leftover measure = {part.leftover.measure!r}"]
-    return [cells_path, json_path], lines, {}
+    return [cells_path, json_path], lines
 
 
 def _mode_osc(cfg, out, base):
@@ -130,20 +130,15 @@ def _mode_osc(cfg, out, base):
     _write_json(json_path, {"schema": SCHEMA, "m": list(m), "tau": env.tau,
                             "sup_ratio": env.sup_ratio,
                             "patch_measure": oscillatory.patch_measure(patch)})
-    return [csv_path, json_path], [f"sup_ratio = {env.sup_ratio!r}"], {}
+    return [csv_path, json_path], [f"sup_ratio = {env.sup_ratio!r}"]
 
 
 def _mode_equi(cfg, out, base):
     poly = geometry.load_polytope(_require_file(_resolve(base, cfg["polytope"]), "polytope"))
     g = periodic.load_periodic(_require_file(_resolve(base, cfg["periodic"]), "periodic data"))
     lambdas = [float(v) for v in cfg["lambdas"]]
-    for f in geometry.faces(poly):
-        cert = geometry.diophantine_check(f.normal, float(cfg.get("dioph_tau", 1.0)),
-                                          int(cfg.get("dioph_bound", 200)))
-        if cert.c_lower == 0.0:
-            warnings.warn(f"face {f.index}: non-Diophantine normal "
-                          f"(annihilated by m = {cert.worst_m})",
-                          stacklevel=2)
+    harness.diophantine_warnings(poly, float(cfg.get("dioph_tau", 1.0)),
+                                 int(cfg.get("dioph_bound", 200)))
     rows = []
     for lam in lambdas:
         ba = oscillatory.boundary_average(poly, g, lam)
@@ -160,7 +155,7 @@ def _mode_equi(cfg, out, base):
         "rows": [{"lambda": lam, "re": ba.real, "im": ba.imag, "abs": abs(ba)}
                  for lam, ba in rows],
     })
-    return [csv_path, json_path], [f"|avg|({rows[-1][0]:g}) = {abs(rows[-1][1])!r}"], {}
+    return [csv_path, json_path], [f"|avg|({rows[-1][0]:g}) = {abs(rows[-1][1])!r}"]
 
 
 def _mode_solve(cfg, out, base):
@@ -191,7 +186,7 @@ def _mode_solve(cfg, out, base):
                             "iterations": sol.iterations, "residual": sol.residual})
     lines = [f"vertices = {len(mesh.vertices)}",
              f"iterations = {sol.iterations}", f"residual = {sol.residual!r}"]
-    return [mesh_path, sol_path, json_path], lines, {}
+    return [mesh_path, sol_path, json_path], lines
 
 
 def _sweep_outputs(result, rate_report, out):
@@ -199,7 +194,7 @@ def _sweep_outputs(result, rate_report, out):
     labels = [f"p={p:g}" for p in result.config.p_values] \
         + [f"probe{i}" for i in range(len(result.config.probe_points))]
     gp_path = os.path.join(out, "loglog.gp")
-    _write_gnuplot_script(gp_path, "loglog.dat", len(labels), labels)
+    _write_gnuplot_script(gp_path, "loglog.dat", labels)
     files.append(gp_path)
     return files
 
@@ -234,7 +229,7 @@ def _mode_sweep(cfg, out, base):
     for p, f in rate_report.lp_fits.items():
         lines.append(f"fitted exponent p={p:g}: {f.exponent:.4f} +- {f.stderr:.4f}"
                      + (" (largest eps dropped)" if f.dropped_largest else ""))
-    return files, lines, {}
+    return files, lines
 
 
 def _mode_corner(cfg, out, base):
@@ -257,7 +252,7 @@ def _mode_corner(cfg, out, base):
          "stderr": r["stderr"], "mesh_vertices": r["mesh_vertices"]} for r in rows]})
     lines = [f"omega={r['omega']:.6f}: fitted {r['fitted_exponent']:.4f} "
              f"(theory {np.pi / r['omega']:.4f})" for r in rows]
-    return [csv_path, json_path], lines, {}
+    return [csv_path, json_path], lines
 
 
 def _mode_report(cfg, out, base):
@@ -269,7 +264,7 @@ def _mode_report(cfg, out, base):
         rate_report = harness.build_rate_report(result, float(cfg["alpha_star"]),
                                                 cfg.get("delta"))
     files = _sweep_outputs(result, rate_report, out)
-    return files, [f"rows = {len(result.records)}"], {}
+    return files, [f"rows = {len(result.records)}"]
 
 
 _MODES = {
@@ -320,7 +315,7 @@ def main(argv=None) -> int:
         base = os.path.dirname(os.path.abspath(args.config))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            files, lines, extra = _MODES[args.mode](cfg, args.out, base)
+            files, lines = _MODES[args.mode](cfg, args.out, base)
         warn_strings = sorted({str(w.message) for w in caught})
         manifest = {
             "schema": SCHEMA,
@@ -331,7 +326,6 @@ def main(argv=None) -> int:
                       for p in sorted(files)],
             "warnings": warn_strings,
         }
-        manifest.update(extra)
         manifest_path = os.path.join(args.out, "manifest.json")
         _write_json(manifest_path, manifest)
         for line in lines:

@@ -50,7 +50,6 @@ class TriMesh:
     vertices: np.ndarray       # (nv, 2)
     triangles: np.ndarray      # (nt, 3) int
     boundary_edges: np.ndarray  # (nb, 3) int
-    grading: float = 0.0
     _neighbors: np.ndarray | None = field(default=None, repr=False)
     _centroid_order: np.ndarray | None = field(default=None, repr=False)
 
@@ -207,8 +206,7 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
     vertices.setflags(write=False)
     triangles = np.array(tris, dtype=np.int64)
     bedges = np.array([(a, b, f) for (a, b), f in sorted(boundary_tags.items())], dtype=np.int64)
-    mesh = TriMesh(vertices=vertices, triangles=triangles, boundary_edges=bedges,
-                   grading=float(grading))
+    mesh = TriMesh(vertices=vertices, triangles=triangles, boundary_edges=bedges)
     _validate_mesh(mesh, polygon)
     return mesh
 
@@ -405,7 +403,8 @@ class DirichletProblem:
             return vals.real if self.periodic_data.real_valued else vals
         vals = np.asarray(self.explicit_data(points))
         if vals.shape != (len(points),):
-            vals = np.array([self.explicit_data(p) for p in points], dtype=float)
+            raise ValidationError(f"explicit_data must map (n, 2) points to shape "
+                                  f"({len(points)},), got shape {vals.shape}")
         return vals
 
 
@@ -427,6 +426,10 @@ class FemSolution:
 # assembly and solve
 # ---------------------------------------------------------------------------
 
+# gradients of the reference hat functions, one row per vertex
+_GREF = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
 def _assemble(mesh: TriMesh, A_field: CoefficientField):
     pts = mesh.vertices[mesh.triangles]
     e1 = pts[:, 1] - pts[:, 0]
@@ -439,8 +442,7 @@ def _assemble(mesh: TriMesh, A_field: CoefficientField):
     inv[:, 1, 0] = -e1[:, 1]
     inv[:, 1, 1] = e1[:, 0]
     inv /= det[:, None, None]
-    Gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    grads = np.einsum("ir,mrc->mic", Gref, inv)  # (m, 3, 2)
+    grads = np.einsum("ir,mrc->mic", _GREF, inv)  # (m, 3, 2)
     bary = pts.mean(axis=1)
     Abar = A_field.evaluate_many(bary)
     if np.any(Abar[:, 0, 1] != Abar[:, 1, 0]):
@@ -451,13 +453,6 @@ def _assemble(mesh: TriMesh, A_field: CoefficientField):
     K = sp.coo_matrix((Kloc.ravel(), (rows, cols)),
                       shape=(len(mesh.vertices), len(mesh.vertices))).tocsr()
     return K, grads, area
-
-
-def _split_system(K, boundary: np.ndarray, nv: int):
-    interior = np.setdiff1d(np.arange(nv), boundary)
-    Kii = K[interior][:, interior]
-    Kib = K[interior][:, boundary]
-    return interior, Kii, Kib
 
 
 def _cg_solve(Kii, rhs: np.ndarray, config: SolverConfig):
@@ -482,29 +477,56 @@ def _cg_solve(Kii, rhs: np.ndarray, config: SolverConfig):
     return x, counter["n"], res
 
 
+def _pinned_solves(mesh: TriMesh, A: CoefficientField, rows,
+                   config: SolverConfig) -> list[FemSolution]:
+    """One P1 solution per row of boundary values, all on one mesh and field.
+
+    Boundary nodes are pinned to the row and the interior system is solved by
+    Jacobi-CG for one or two rows (real data, or the two halves of complex
+    data) and by one sparse LU factor shared by every row when there are
+    more, as for the kernel probe's arcs. Each solution carries the relative
+    residual ||rhs - Kii x|| / ||rhs|| it reached.
+    """
+    K, _, _ = _assemble(mesh, A)
+    nv = len(mesh.vertices)
+    boundary = mesh.boundary_nodes
+    interior = np.setdiff1d(np.arange(nv), boundary)
+    Kii = K[interior][:, interior]
+    neg_Kib = -K[interior][:, boundary]
+    lu = spla.splu(Kii.tocsc()) if len(rows) > 2 else None
+    sols = []
+    for vb in rows:
+        rhs = neg_Kib @ vb
+        if lu is None:
+            x, iters, res = _cg_solve(Kii, rhs, config)
+        else:
+            x, iters = lu.solve(rhs), 0
+            bnorm = float(np.linalg.norm(rhs))
+            res = float(np.linalg.norm(rhs - Kii @ x) / bnorm) if bnorm > 0 else 0.0
+        u = np.zeros(nv)
+        u[boundary] = vb
+        u[interior] = x
+        sols.append(FemSolution(mesh=mesh, values=u, iterations=iters, residual=res))
+    return sols
+
+
 def solve_dirichlet(problem: DirichletProblem, mesh: TriMesh,
                     config: SolverConfig = SolverConfig()) -> FemSolution:
-    """P1 Galerkin solve with boundary nodes pinned to the prescribed data."""
-    K, _, _ = _assemble(mesh, problem.coefficients)
+    """P1 Galerkin solve with boundary nodes pinned to the prescribed data.
+
+    Complex data is solved as its real and imaginary parts; the solution
+    reports the larger iteration count and residual of the two.
+    """
     boundary = mesh.boundary_nodes
     values_b = problem.boundary_values(mesh.vertices[boundary])
-    interior, Kii, Kib = _split_system(K, boundary, len(mesh.vertices))
-
-    complex_data = np.iscomplexobj(values_b)
-    u = np.zeros(len(mesh.vertices), dtype=complex if complex_data else float)
-    u[boundary] = values_b
-    iters = 0
-    residual = 0.0
-    parts = (values_b.real, values_b.imag) if complex_data else (values_b,)
-    sols = []
-    for part in parts:
-        rhs = -Kib @ part
-        x, it, res = _cg_solve(Kii, rhs, config)
-        sols.append(x)
-        iters = max(iters, it)
-        residual = max(residual, res)
-    u[interior] = sols[0] if not complex_data else sols[0] + 1j * sols[1]
-    return FemSolution(mesh=mesh, values=u, iterations=iters, residual=residual)
+    if not np.iscomplexobj(values_b):
+        return _pinned_solves(mesh, problem.coefficients, [values_b], config)[0]
+    re, im = _pinned_solves(mesh, problem.coefficients, [values_b.real, values_b.imag],
+                            config)
+    u = re.values + 1j * im.values
+    u[boundary] = values_b  # exact data: re + 1j * im turns a -0.0 real part into 0.0
+    return FemSolution(mesh=mesh, values=u, iterations=max(re.iterations, im.iterations),
+                       residual=max(re.residual, im.residual))
 
 
 def dmp_offdiagonal_max(mesh: TriMesh) -> float:
@@ -583,8 +605,7 @@ def evaluate_gradient(sol: FemSolution, x) -> np.ndarray:
     tri = sol.mesh.triangles[t]
     a, b, c = sol.mesh.vertices[tri]
     T = np.array([[b[0] - a[0], c[0] - a[0]], [b[1] - a[1], c[1] - a[1]]])
-    Gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    grads = Gref @ np.linalg.inv(T)
+    grads = _GREF @ np.linalg.inv(T)
     return sol.values[tri] @ grads
 
 
@@ -613,15 +634,6 @@ def write_solution_csv(path, sol: FemSolution) -> None:
 # probes
 # ---------------------------------------------------------------------------
 
-def _indicator_values(mesh: TriMesh, pred) -> np.ndarray:
-    b = mesh.boundary_nodes
-    vals = np.zeros(len(b))
-    for i, node in enumerate(b):
-        if pred(mesh.vertices[node]):
-            vals[i] = 1.0
-    return vals
-
-
 def harmonic_measure(polygon: ConvexPolytope, A: CoefficientField, patch, x,
                      mesh: TriMesh | None = None, h: float = 0.05,
                      config: SolverConfig = SolverConfig()) -> float:
@@ -632,31 +644,10 @@ def harmonic_measure(polygon: ConvexPolytope, A: CoefficientField, patch, x,
     """
     if mesh is None:
         mesh = triangulate(polygon, h)
-    b = mesh.boundary_nodes
-    K, _, _ = _assemble(mesh, A)
-    interior, Kii, Kib = _split_system(K, b, len(mesh.vertices))
-    vb = _indicator_values(mesh, patch)
-    u = np.zeros(len(mesh.vertices))
-    u[b] = vb
-    xsol, iters, res = _cg_solve(Kii, -Kib @ vb, config)
-    u[interior] = xsol
-    sol = FemSolution(mesh=mesh, values=u, iterations=iters, residual=res)
-    return float(evaluate_solution(sol, x))
-
-
-def _multi_dirichlet(mesh: TriMesh, A: CoefficientField, boundary_value_rows: np.ndarray):
-    """Direct factorization reused across many boundary-value vectors."""
-    K, _, _ = _assemble(mesh, A)
-    b = mesh.boundary_nodes
-    interior, Kii, Kib = _split_system(K, b, len(mesh.vertices))
-    lu = spla.splu(Kii.tocsc())
-    sols = []
-    for vb in boundary_value_rows:
-        u = np.zeros(len(mesh.vertices))
-        u[b] = vb
-        u[interior] = lu.solve(-(Kib @ vb))
-        sols.append(FemSolution(mesh=mesh, values=u, iterations=0, residual=0.0))
-    return sols
+    problem = DirichletProblem(
+        polygon=polygon, coefficients=A,
+        explicit_data=lambda pts: np.array([1.0 if patch(p) else 0.0 for p in pts]))
+    return float(evaluate_solution(solve_dirichlet(problem, mesh, config), x))
 
 
 def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
@@ -694,7 +685,7 @@ def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
             on_face = np.abs(bpts @ f.normal - f.offset) <= 1e-10
             inside = on_face & (tvals >= t0 - 1e-12) & (tvals < t1 - 1e-12)
             rows.append(np.where(inside, 1.0, 0.0))
-    sols = _multi_dirichlet(mesh, A, rows)
+    sols = _pinned_solves(mesh, A, rows, SolverConfig())
     ratios = []
     for (fi, p0, p1), sol in zip(arcs, sols):
         omega = float(evaluate_solution(sol, x))
@@ -705,16 +696,6 @@ def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
         ratios.append(omega / (ell * dx / dist ** 2))
     return {"ratios": np.array(ratios), "max_ratio": float(np.max(ratios)),
             "arcs_per_face": arcs_per_face, "h": h}
-
-
-def _loglog_slope(xs, ys) -> tuple[float, float]:
-    lx, ly = np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys, dtype=float))
-    n = len(lx)
-    sxx = float(np.sum((lx - lx.mean()) ** 2))
-    slope = float(np.sum((lx - lx.mean()) * (ly - ly.mean())) / sxx)
-    resid = ly - (ly.mean() + slope * (lx - lx.mean()))
-    stderr = float(np.sqrt(np.sum(resid ** 2) / max(n - 2, 1) / sxx))
-    return slope, stderr
 
 
 def sector_polygon(omega: float, arc_segments: int = 64) -> ConvexPolytope:
@@ -735,6 +716,8 @@ def corner_probe(omega: float, h: float = 0.05, grading: float = 1.0,
     sector, samples along the bisector at dyadic radii, and returns the
     least-squares slope of log u against log r (theory: pi / omega).
     """
+    from .harness import fit_rate  # harness imports fem
+
     if radii is None:
         radii = [2.0 ** (-j) for j in range(2, 8)]
     poly = sector_polygon(omega, arc_segments)
@@ -754,10 +737,8 @@ def corner_probe(omega: float, h: float = 0.05, grading: float = 1.0,
     direction = np.array([np.cos(omega / 2.0), np.sin(omega / 2.0)])
     samples = [(float(r), float(np.real(evaluate_solution(sol, r * direction))))
                for r in radii]
-    rs = [r for r, v in samples if v > 0]
-    vs = [v for _, v in samples if v > 0]
-    slope, stderr = _loglog_slope(rs, vs)
-    return {"omega": float(omega), "fitted_exponent": slope, "stderr": stderr,
+    fit = fit_rate([(r, v) for r, v in samples if v > 0])
+    return {"omega": float(omega), "fitted_exponent": fit.exponent, "stderr": fit.stderr,
             "samples": samples, "mesh_vertices": len(mesh.vertices)}
 
 

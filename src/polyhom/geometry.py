@@ -698,13 +698,14 @@ def face_strip_membership(face: Face, rho: float, y) -> bool:
     return face.dist_to_relative_boundary(y) <= rho
 
 
-def _lift_axis_value(nu: np.ndarray, c: float, k: int, u: np.ndarray) -> np.ndarray:
-    """Fill coordinate k of points whose other coordinates are u (rows)."""
-    d = nu.size
-    others = [j for j in range(d) if j != k]
-    out = np.empty((len(u), d))
+def hyperplane_lift(nu: np.ndarray, c: float, axis: int, u) -> np.ndarray:
+    """Points of the hyperplane nu . y = c whose coordinates other than
+    ``axis``, in increasing order, are the rows of u."""
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    others = [j for j in range(nu.size) if j != axis]
+    out = np.empty((len(u), nu.size))
     out[:, others] = u
-    out[:, k] = (c - u @ nu[others]) / nu[k]
+    out[:, axis] = (c - u @ nu[others]) / nu[axis]
     return out
 
 
@@ -739,7 +740,7 @@ def lattice_partition(face: Face, axis: int, rho: float) -> FacePartition:
         cells = []
         cell_measure = rho / abs(nu[axis])
         for n in range(n0, n1):
-            ends = _lift_axis_value(nu, c, axis, np.array([[n * rho], [(n + 1) * rho]]))
+            ends = hyperplane_lift(nu, c, axis, np.array([[n * rho], [(n + 1) * rho]]))
             cells.append(PartitionCell(lattice_index=(n,), vertices=_readonly(ends),
                                        measure=cell_measure))
         gaps = [(lo, n0 * rho), (n1 * rho, hi)] if n1 > n0 else [(lo, hi)]
@@ -747,7 +748,7 @@ def lattice_partition(face: Face, axis: int, rho: float) -> FacePartition:
         e_measure = 0.0
         for a, b in gaps:
             if b - a > snap:
-                seg = _lift_axis_value(nu, c, axis, np.array([[a], [b]]))
+                seg = hyperplane_lift(nu, c, axis, np.array([[a], [b]]))
                 pieces.append(_readonly(seg))
                 e_measure += (b - a) / abs(nu[axis])
         leftover = Leftover(pieces=tuple(pieces), measure=e_measure)
@@ -804,7 +805,7 @@ def lattice_partition(face: Face, axis: int, rho: float) -> FacePartition:
         for b in bs:
             corners = np.array([[u1a, b * rho], [u1b, b * rho],
                                 [u1b, (b + 1) * rho], [u1a, (b + 1) * rho]])
-            quad = _lift_axis_value(nu, c, axis, corners)
+            quad = hyperplane_lift(nu, c, axis, corners)
             cells.append(PartitionCell(lattice_index=(a, b), vertices=_readonly(quad),
                                        measure=cell_measure))
         # leftover pieces of this column: clip polygon to the slab, remove the
@@ -830,7 +831,7 @@ def lattice_partition(face: Face, axis: int, rho: float) -> FacePartition:
         if abs(area) * jacobian <= 1e-15:
             continue
         e_measure += abs(area) * jacobian
-        pieces.append(_readonly(_lift_axis_value(nu, c, axis, q)))
+        pieces.append(_readonly(hyperplane_lift(nu, c, axis, q)))
     leftover = Leftover(pieces=tuple(pieces), measure=e_measure)
 
     part = FacePartition(face=face, axis=axis, cell_size=float(rho),

@@ -144,6 +144,16 @@ class SweepResult:
 # theoretical exponents
 # ---------------------------------------------------------------------------
 
+# largest |fitted L^p exponent - 1/p| that still counts as meeting the 1/p floor
+_SANDWICH_TOL = 0.08
+
+
+def _gamma(d: int, alpha_star: float) -> float:
+    """(d-1) min{1, a*} / (d-1 + min{1, a*}), the corner cap on the L^p rate."""
+    mina = min(1.0, alpha_star)
+    return (d - 1.0) * mina / (d - 1.0 + mina)
+
+
 def theoretical_rates(d: int, alpha_star: float, p: float, delta: float) -> dict:
     """Exponents of the pointwise and L^p convergence statements.
 
@@ -158,8 +168,7 @@ def theoretical_rates(d: int, alpha_star: float, p: float, delta: float) -> dict
         raise ValidationError("delta must be below alpha_star when alpha_star <= 1")
     beta = 1.0 if alpha_star > 1.0 else alpha_star - delta
     kappa = (d - 1.0) / (d - 1.0 + beta)
-    mina = min(1.0, alpha_star)
-    gamma = (d - 1.0) * mina / (d - 1.0 + mina)
+    gamma = _gamma(d, alpha_star)
     return {
         "beta": beta,
         "kappa": kappa,
@@ -202,6 +211,23 @@ def probe_points_at_distances(polygon: ConvexPolytope, distances, face_index: in
     return tuple(out)
 
 
+def diophantine_warnings(polytope: ConvexPolytope, tau: float, bound: int) -> list:
+    """Warn NonDiophantineWarning for each face normal that fails certification.
+
+    Returns the warning messages in face order; a normal fails when some
+    nonzero m with |m|_1 <= bound is orthogonal to it.
+    """
+    messages = []
+    for f in faces(polytope):
+        cert = diophantine_check(f.normal, tau, bound)
+        if cert.c_lower == 0.0:
+            msg = (f"face {f.index} normal is non-Diophantine "
+                   f"(annihilated by m = {cert.worst_m})")
+            warnings.warn(msg, NonDiophantineWarning, stacklevel=3)
+            messages.append(msg)
+    return messages
+
+
 def run_sweep(polygon: ConvexPolytope, A: fem.CoefficientField, g, config: SweepConfig,
               progress=None) -> SweepResult:
     """Mesh, solve, and record errors for every epsilon in the configured order.
@@ -217,14 +243,7 @@ def run_sweep(polygon: ConvexPolytope, A: fem.CoefficientField, g, config: Sweep
         raise ValidationError("boundary data must have a real mean for the error pipeline")
     gbar = float(gbar.real)
 
-    collected = []
-    for f in faces(polygon):
-        cert = diophantine_check(f.normal, config.dioph_tau, config.dioph_bound)
-        if cert.c_lower == 0.0:
-            msg = (f"face {f.index} normal is non-Diophantine "
-                   f"(annihilated by m = {cert.worst_m})")
-            warnings.warn(msg, NonDiophantineWarning, stacklevel=2)
-            collected.append(msg)
+    collected = diophantine_warnings(polygon, config.dioph_tau, config.dioph_bound)
 
     max_h = max(config.epsilons) / config.eta
     probe_d = []
@@ -339,7 +358,7 @@ def pointwise_envelope(result: SweepResult, probe_idx: int, beta: float, delta: 
 
 
 def optimality_check(result: SweepResult, p: float, g, alpha_star: float,
-                     tolerance: float = 0.08) -> dict:
+                     tolerance: float = _SANDWICH_TOL) -> dict:
     """Sandwich test of the fitted L^p exponent against the 1/p floor.
 
     Skipped when g is constant (no oscillation) and reported NotBinding when
@@ -347,9 +366,7 @@ def optimality_check(result: SweepResult, p: float, g, alpha_star: float,
     """
     if not any(any(mi != 0 for mi in m) and c != 0 for m, c in g.coefficients.items()):
         return {"status": "skipped_constant_data"}
-    d = 2
-    mina = min(1.0, alpha_star)
-    gamma = (d - 1.0) * mina / (d - 1.0 + mina)
+    gamma = _gamma(2, alpha_star)
     if 1.0 / p >= gamma:
         return {"status": "not_binding", "gamma": gamma, "lower_exp": 1.0 / p}
     fit = fit_rate_guarded(result.lp_pairs(p))
@@ -412,7 +429,7 @@ def build_rate_report(result: SweepResult, alpha_star: float,
         t = theo[p]
         binding = t["lp_lower"] < t["gamma"]
         if binding:
-            flags[f"sandwich_p={p:g}"] = bool(abs(f.exponent - t["lp_lower"]) <= 0.08)
+            flags[f"sandwich_p={p:g}"] = bool(abs(f.exponent - t["lp_lower"]) <= _SANDWICH_TOL)
     flags["envelopes_nondiverging"] = all(e["nondiverging"] for e in envelopes)
     return RateReport(alpha_star=alpha_star, delta=delta, lp_fits=lp_fits,
                       theoretical=theo, envelopes=envelopes, pass_flags=flags)

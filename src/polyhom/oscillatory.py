@@ -24,17 +24,12 @@ from .errors import (
     ValidationError,
     ZeroNormalComponent,
 )
-from .geometry import Face, ConvexPolytope, faces, lattice_partition
+from .geometry import (ConvexPolytope, Face, _readonly, faces, hyperplane_lift,
+                       lattice_partition)
 
 _SMALL_PHASE = 1e-13
 _GAUSS_ORDER = 8
 _GLX, _GLW = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,12 +71,7 @@ class FacePatch:
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         """Map free-coordinate rows u to points on the patch's hyperplane."""
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        nu, k = self.normal, self.axis
-        out = np.empty((len(u), self.dim))
-        out[:, self.free_axes] = u
-        out[:, k] = (self.offset - u @ nu[self.free_axes]) / nu[k]
-        return out
+        return hyperplane_lift(self.normal, self.offset, self.axis, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,22 +311,29 @@ def _subdivide(tris: np.ndarray) -> np.ndarray:
     ])
 
 
-def _polygon_oscillatory_quad(verts2d: np.ndarray, lam: float, patch_like: FacePatch,
+def _polygon_oscillatory_quad(verts2d: np.ndarray, lam: float, face: Face, axis: int,
                               m: np.ndarray, tol: float, max_tris: int = 400_000) -> complex:
-    """Numerical integral of exp(2 pi i lam m . lift(u)) over a convex 2-D region."""
+    """Numerical integral of exp(2 pi i lam m . lift(u)) over a convex 2-D region.
+
+    ``verts2d`` are coordinates other than ``axis``; lift(u) is the point of
+    the face's hyperplane above u.
+    """
     centroid = verts2d.mean(axis=0)
     tris = np.stack([
         np.tile(centroid, (len(verts2d), 1)),
         verts2d,
         np.roll(verts2d, -1, axis=0),
     ], axis=1)
-    jac = 1.0 / abs(patch_like.normal[patch_like.axis])
+    jac = 1.0 / abs(face.normal[axis])
+
+    def lift(u):
+        return hyperplane_lift(face.normal, face.offset, axis, u)
 
     def phase(u):
-        return patch_like.lift(u) @ m
+        return lift(u) @ m
 
     # in-plane frequency from the affine lift, for subdivision sizing
-    g = np.array([float(patch_like.lift(centroid + e)[0] @ m - patch_like.lift(centroid)[0] @ m)
+    g = np.array([float(lift(centroid + e)[0] @ m - lift(centroid)[0] @ m)
                   for e in np.eye(2)])
     diam = float(np.max(np.linalg.norm(verts2d - centroid, axis=1))) * 2.0
     target = 1.0 / max(8.0 * lam * np.linalg.norm(g), 1e-9)
@@ -392,10 +389,8 @@ def face_average(face: Face, g, lam: float, rho: float | None = None,
             bounds = np.stack([u.min(axis=0), u.max(axis=0)], axis=1)
             patch = FacePatch(normal=nu, offset=face.offset, axis=axis, bounds=bounds)
             contrib += patch_integral_closed_form(patch, lam, m).value
-        helper = FacePatch(normal=nu, offset=face.offset, axis=axis,
-                           bounds=np.array([[0.0, 1.0], [0.0, 1.0]]))
         for piece in part.leftover.pieces:
-            contrib += _polygon_oscillatory_quad(piece[:, others], lam, helper, mv, tol)
+            contrib += _polygon_oscillatory_quad(piece[:, others], lam, face, axis, mv, tol)
         total += cm * contrib
     return complex(total / face.measure)
 

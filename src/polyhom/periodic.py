@@ -26,16 +26,6 @@ class PeriodicFunction:
     real_valued: bool
     declared_smoothness: float | None = None
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.array(sorted(self.coefficients), dtype=float).reshape(-1, self.dim)
-
-    @property
-    def max_frequency(self) -> int:
-        if not self.coefficients:
-            return 0
-        return max(int(np.max(np.abs(m))) for m in self.coefficients)
-
     def __call__(self, x):
         return evaluate(self, x)
 
@@ -95,13 +85,6 @@ def subtract_mean(g: PeriodicFunction) -> PeriodicFunction:
     coeffs = dict(g.coefficients)
     coeffs.pop((0,) * g.dim, None)
     return from_coefficients(g.dim, coeffs, g.declared_smoothness)
-
-
-def sup_norm_lower_bound(g: PeriodicFunction, grid: int = 128) -> float:
-    """max |g| over a tensor grid; exact up to grid resolution for finite sums."""
-    axes = [np.arange(grid) / grid] * g.dim
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return float(np.max(np.abs(evaluate(g, pts))))
 
 
 def smoothness_threshold(d: int, tau: float) -> float:

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from polyhom import fem as F
 from polyhom import geometry as G
+from polyhom import harness as H
 from polyhom import periodic as P
 from polyhom.cli import main
+from polyhom.errors import NonDiophantineWarning
 
 
 def _write(path, doc):
@@ -93,6 +96,11 @@ def test_equi_mode_warns_on_axis_square(tmp_path, golden_files):
     assert main(["equi", "--config", cfg, "--out", str(out)]) == 0
     man = _manifest(out)
     assert any("non-Diophantine" in w for w in man["warnings"])
+    # the same messages as an eps sweep over the same polygon
+    with pytest.warns(NonDiophantineWarning):
+        res = H.run_sweep(G.unit_square(), F.CoefficientField.identity(),
+                          P.load_periodic(gpath), H.SweepConfig(epsilons=(0.5,), eta=2.0))
+    assert man["warnings"] == sorted(res.warnings)
 
 
 def test_solve_mode(tmp_path, golden_files):

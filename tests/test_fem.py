@@ -90,6 +90,29 @@ def test_constant_boundary_data_reproduced():
     assert np.max(np.abs(sol.values - 7.5)) < 1e-9
 
 
+def test_explicit_data_must_be_vectorised():
+    prob = F.DirichletProblem(polygon=G.unit_square(), coefficients=I2,
+                              explicit_data=lambda p: 1.0)
+    with pytest.raises(ValidationError, match=r"shape \(5,\)"):
+        prob.boundary_values(np.zeros((5, 2)))
+
+
+def test_cg_and_sparse_lu_solves_agree():
+    # one or two rows go through Jacobi-CG, more share one sparse LU factor
+    mesh = F.triangulate(G.regular_hexagon(), 0.1)
+    A = F.CoefficientField.constant([[2.0, 0.5], [0.5, 1.0]])
+    bpts = mesh.vertices[mesh.boundary_nodes]
+    rows = [np.cos(3.0 * bpts[:, 0]), bpts[:, 0] * bpts[:, 1], np.full(len(bpts), -1.5)]
+    cfg = F.SolverConfig(linear_tol=1e-13)
+    lu_sols = F._pinned_solves(mesh, A, rows, cfg)
+    for row, lu_sol in zip(rows, lu_sols):
+        (cg_sol,) = F._pinned_solves(mesh, A, [row], cfg)
+        assert cg_sol.iterations > 0 and lu_sol.iterations == 0
+        assert np.max(np.abs(lu_sol.values - cg_sol.values)) <= 1e-8
+        assert lu_sol.residual <= 1e-12
+    assert any(s.residual > 0.0 for s in lu_sols)  # measured, not a hard-coded 0
+
+
 def test_manufactured_harmonic_l2_order():
     hexp = G.regular_hexagon()
     errs = []

@@ -152,6 +152,14 @@ def test_sweep_axis_square_warns_and_stalls():
     assert fit.exponent <= 0.1
 
 
+def test_diophantine_warnings_one_per_axis_face():
+    with pytest.warns(NonDiophantineWarning) as caught:
+        msgs = H.diophantine_warnings(G.unit_square(), 1.0, 200)
+    assert len(msgs) == 4
+    assert [str(w.message) for w in caught] == msgs
+    assert H.diophantine_warnings(G.golden_square(), 1.0, 200) == []
+
+
 def test_sweep_failure_is_recorded_not_raised():
     cfg = H.SweepConfig(epsilons=(0.5, 0.25), eta=4.0,
                         solver=F.SolverConfig(linear_tol=1e-12, max_iter=2))
