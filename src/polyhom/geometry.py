@@ -378,26 +378,21 @@ def polygon_vertices(poly: ConvexPolytope) -> np.ndarray:
     if poly.dim != 2:
         raise UnsupportedDimension("vertex cycle is for d = 2")
     N, c = poly.normals, poly.offsets
-    n = len(N)
-    pts = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            A = np.array([N[i], N[j]])
-            det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-            if abs(det) <= 1e-12:
-                continue
-            p = np.linalg.solve(A, np.array([c[i], c[j]]))
-            if np.min(N @ p - c) >= -1e-9:
-                pts.append(p)
+    i, j = np.triu_indices(len(N), 1)  # every pair of lines, i-major
+    A = np.stack([N[i], N[j]], axis=1)
+    det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+    crossing = np.abs(det) > 1e-12
+    i, j, A = i[crossing], j[crossing], A[crossing]
+    pts = np.linalg.solve(A, np.stack([c[i], c[j]], axis=1)[:, :, None])[:, :, 0]
+    pts = pts[(pts @ N.T - c).min(axis=1) >= -1e-9]
     if len(pts) < 3:
         raise ValidationError("fewer than three vertices found")
-    pts = np.array(pts)
-    # dedupe within 1e-9
-    keep = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) <= 1e-9 for q in keep):
-            keep.append(p)
-    keep = np.array(keep)
+    # dedupe within 1e-9, keeping the first of each cluster
+    keep = pts[:1]
+    for p in pts[1:]:
+        d = keep - p
+        if not np.any(np.sqrt(np.vecdot(d, d)) <= 1e-9):
+            keep = np.vstack([keep, p])
     ang = np.arctan2(keep[:, 1] - poly.interior_point[1], keep[:, 0] - poly.interior_point[0])
     return _readonly(keep[np.argsort(ang)])
 

@@ -98,20 +98,6 @@ def patch_measure(patch: FacePatch) -> float:
     return float(np.prod(widths) / abs(patch.normal[patch.axis]))
 
 
-def patch_from_face(face: Face, axis: int | None = None) -> FacePatch:
-    """Exact patch description of a 2-D face (a segment)."""
-    if face.dim != 2:
-        raise UnsupportedDimension("patch_from_face covers d = 2 faces; use lattice cells for d = 3")
-    nu = face.normal
-    if axis is None:
-        axis = int(np.argmax(np.abs(nu)))
-    j = 1 - axis
-    lo, hi = sorted(float(v[j]) for v in face.vertices)
-    if hi - lo <= 1e-14:
-        raise ZeroNormalComponent("face is parallel to the kept axis; choose the other one")
-    return FacePatch(normal=nu, offset=face.offset, axis=axis, bounds=np.array([[lo, hi]]))
-
-
 def frequency_axis(m) -> int:
     """Index of the first nonzero component of m (the index-set convention)."""
     for k, v in enumerate(m):

@@ -1,5 +1,11 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from conftest import random_convex_polygon
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyhom import fem as F
 from polyhom import geometry as G
@@ -51,8 +57,90 @@ def test_triangulate_boundary_vertices_cover_polygon_vertices():
 
 
 def test_triangulate_budget():
+    # the node count is known in closed form, so both raise before meshing
     with pytest.raises(BudgetExceeded):
         F.triangulate(G.unit_square(), 0.001, max_vertices=1000)
+    with pytest.raises(BudgetExceeded):
+        F.triangulate(G.unit_square(), 1e-300)
+
+
+def _corner_probe_mesh():
+    # the graded sector mesh corner_probe(2 pi / 3, h=0.15) solves on
+    omega, h = 2.0 * np.pi / 3.0, 0.15
+    poly = F.sector_polygon(omega)
+    floor = h * (2.0 ** -7 / poly.diameter) / 4.0
+    return F.triangulate(poly, h, grading=1.0, grading_centers=np.array([[0.0, 0.0]]),
+                         min_edge=floor)
+
+
+def _strip_mesh():
+    gs = G.golden_square()
+    return F.triangulate(gs, 0.16, grading=1.0, grading_centers=G.faces(gs)[0].vertices,
+                         min_edge=2e-4)
+
+
+# sha256 of (vertices, triangles, boundary_edges).tobytes(): every sweep
+# artifact and CG iteration count rests on these meshes staying bit-identical
+MESH_DIGESTS = {
+    "golden square, h=1/80": (
+        lambda: F.triangulate(G.golden_square(), 1.0 / 80.0),
+        ("84ce1991679d4045f7387d204519c5cc98ddc609b663a1a26f242dd5ea7f1bdc",
+         "b221e9079b63877c3d0778b8e21357fe1608d787fe5037f2884e388a88e0bf2e",
+         "1057a465a4689ac00c528884cbc80d5b34ac3d6ee3360d19b5ff2229d8cbb784")),
+    "hexagon, h=0.4": (
+        lambda: F.triangulate(G.regular_hexagon(), 0.4),
+        ("c0c87eeee38e894612e6497e435ecc3ff47616213d0ed86b30985246ccc8ef8d",
+         "c4fc8cdfcba7ff5a76fa91f76bf73cae5237783582ec514e9378dc3b4c804d5c",
+         "98d11fa7c234d78a1893714e5b132385a3a176506860308ad122d5ff9d06580a")),
+    # symmetric, so equal-length marked sides are common: this one changes if
+    # the side lengths lose the bits of the 1-D np.linalg.norm
+    "hexagon, h=0.4, graded 0.5 toward its vertices": (
+        lambda: F.triangulate(G.regular_hexagon(), 0.4, grading=0.5),
+        ("58b56ee39d8975391acde16dfc44d9a5e040737ef2bba4b1bffe59aa3e410747",
+         "30b246d81e0240d4640f2d0f5a9601cbea26a4863523395664bacb2fc2ef1de8",
+         "87d36171611cfabc4a9593ceef82fab159139f2170bde8789d362165fc465904")),
+    "corner probe sector": (
+        _corner_probe_mesh,
+        ("00ee712395c120b7e8e23014b8d539b15bf8516f4cb4f386a8269005c82d9006",
+         "afb7565f333779f3985200bb49410eebec899696f39541245b343eecaa09b087",
+         "2a5a9c053003d98a7f5af87ba6b12a9c49ffabdab27a6c0594f69e6d0862c61c")),
+    "strip mesh": (
+        _strip_mesh,
+        ("6125a285be15c3352e6196d7dde14d0efea3372563671f2dce4cfd0634badb98",
+         "b70b9549fbb2866c68c10b526546b6cf326955fe0aa02eea0435a9cdf070e019",
+         "7058214ccc5010ba8a831ce9d1e0203339f078027fb10354bf2cf15d2ceb3017")),
+}
+
+
+@pytest.mark.parametrize("name", list(MESH_DIGESTS))
+def test_mesh_digests_pinned(name):
+    make, expected = MESH_DIGESTS[name]
+    mesh = make()
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                for a in (mesh.vertices, mesh.triangles, mesh.boundary_edges))
+    assert got == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.08, 0.3), st.sampled_from([0.0, 0.5, 1.0]))
+def test_random_polygon_mesh_and_affine_solve(seed, h, grading):
+    # any convex polygon, uniform or graded toward a random vertex: the mesh
+    # conforms, tiles the polygon, and P1 reproduces affine data exactly
+    rng = np.random.default_rng(seed)
+    poly = random_convex_polygon(rng)
+    verts = G.polygon_vertices(poly)
+    mesh = F.triangulate(poly, h, grading=grading,
+                         grading_centers=verts[rng.integers(len(verts))][None, :],
+                         min_edge=1e-3 * poly.diameter)
+    F._validate_mesh(mesh, poly)
+    x, y = verts[:, 0], verts[:, 1]
+    area = 0.5 * math.fsum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    assert abs(math.fsum(mesh.areas) - area) <= 1e-12 * area
+    c0, c = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0, 2)
+    prob = F.DirichletProblem(polygon=poly, coefficients=I2,
+                              explicit_data=lambda pts: c0 + pts @ c)
+    sol = F.solve_dirichlet(prob, mesh, F.SolverConfig(linear_tol=1e-13))
+    assert np.max(np.abs(sol.values - (c0 + mesh.vertices @ c))) <= 1e-9
 
 
 def test_graded_mesh_conforms_and_shrinks_near_corner():
