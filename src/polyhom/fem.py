@@ -15,7 +15,7 @@ corner exponents of solutions vanishing on the faces incident to a vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,8 +54,6 @@ class TriMesh:
     vertices: np.ndarray       # (nv, 2)
     triangles: np.ndarray      # (nt, 3) int
     boundary_edges: np.ndarray  # (nb, 3) int
-    _neighbors: np.ndarray | None = field(default=None, repr=False)
-    _centroid_order: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def boundary_nodes(self) -> np.ndarray:
@@ -72,25 +70,6 @@ class TriMesh:
         p = self.vertices[self.triangles]
         e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
         return float(np.sqrt((e ** 2).sum(-1)).max())
-
-    def neighbors(self) -> np.ndarray:
-        """(nt, 3) neighbor triangle per edge (i, i+1), -1 on the boundary."""
-        if self._neighbors is None:
-            tri = self.triangles
-            T = len(tri)
-            edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-            keys = edges.min(axis=1) * len(self.vertices) + edges.max(axis=1)
-            tri_id = np.tile(np.arange(T), 3)
-            side = np.repeat(np.arange(3), T)
-            order = np.argsort(keys, kind="stable")
-            ks = keys[order]
-            pair = np.nonzero(ks[1:] == ks[:-1])[0]
-            first, second = order[pair], order[pair + 1]
-            nb = -np.ones((T, 3), dtype=np.int64)
-            nb[tri_id[first], side[first]] = tri_id[second]
-            nb[tri_id[second], side[second]] = tri_id[first]
-            self._neighbors = nb
-        return self._neighbors
 
 
 def _edge_keys(tri: np.ndarray, nv: int) -> np.ndarray:
@@ -228,8 +207,8 @@ def _graded_bisection(coords, tris, bedges, centers, h, grading, diam, floor,
     """Longest-edge bisection until local targets near the centers are met.
 
     Each pass marks the longest edge of every too-coarse triangle, closes the
-    marking so neighbors stay conforming, and bisects; new edges are never
-    marked within a pass, so conformity is preserved. Boundary edges are
+    marking so adjacent triangles stay conforming, and bisects; new edges are
+    never marked within a pass, so conformity is preserved. Boundary edges are
     rows (a, b, face) with a < b; a bisected one is replaced by its halves.
     """
     for _ in range(200):  # outer passes; each enforces the target once more
@@ -386,13 +365,11 @@ class CoefficientField:
         points = np.atleast_2d(points)
         if isinstance(self.evaluator, np.ndarray):
             return np.broadcast_to(self.evaluator, (len(points), 2, 2))
-        try:
-            out = np.asarray(self.evaluator(points), dtype=float)
-            if out.shape == (len(points), 2, 2):
-                return out
-        except Exception:
-            pass
-        return np.array([self.evaluator(p) for p in points], dtype=float)
+        out = np.asarray(self.evaluator(points), dtype=float)
+        if out.shape != (len(points), 2, 2):
+            raise ValidationError(f"a coefficient evaluator must map (n, 2) points to shape "
+                                  f"({len(points)}, 2, 2), got shape {out.shape}")
+        return out
 
 
 def validate_coefficients(field: CoefficientField, points) -> None:
@@ -480,7 +457,7 @@ def _assemble(mesh: TriMesh, A_field: CoefficientField):
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     K = sp.coo_matrix((Kloc.ravel(), (rows, cols)),
                       shape=(len(mesh.vertices), len(mesh.vertices))).tocsr()
-    return K, grads, area
+    return K
 
 
 def _cg_solve(Kii, rhs: np.ndarray, config: SolverConfig):
@@ -515,7 +492,7 @@ def _pinned_solves(mesh: TriMesh, A: CoefficientField, rows,
     more, as for the kernel probe's arcs. Each solution carries the relative
     residual ||rhs - Kii x|| / ||rhs|| it reached.
     """
-    K, _, _ = _assemble(mesh, A)
+    K = _assemble(mesh, A)
     nv = len(mesh.vertices)
     boundary = mesh.boundary_nodes
     interior = np.setdiff1d(np.arange(nv), boundary)
@@ -559,7 +536,7 @@ def solve_dirichlet(problem: DirichletProblem, mesh: TriMesh,
 
 def dmp_offdiagonal_max(mesh: TriMesh) -> float:
     """Largest off-diagonal stiffness entry for A = I (<= 0 gives an M-matrix)."""
-    K, _, _ = _assemble(mesh, CoefficientField.identity())
+    K = _assemble(mesh, CoefficientField.identity())
     coo = K.tocoo()
     off = coo.data[coo.row != coo.col]
     return float(off.max()) if off.size else 0.0
@@ -576,53 +553,28 @@ def _barycentric(mesh: TriMesh, t: int, x: np.ndarray) -> np.ndarray:
     return np.array([1.0 - st[0] - st[1], st[0], st[1]])
 
 
-def _locate(mesh: TriMesh, x, max_steps: int = 20000) -> tuple[int, np.ndarray]:
-    """Triangle walk with brute-force fallback; on edges the lowest index wins."""
+def _locate(mesh: TriMesh, x) -> tuple[int, np.ndarray]:
+    """Lowest-index triangle whose three barycentrics at x are all >= -1e-12.
+
+    Every triangle is tested at once with the explicit 2x2 inverse. The
+    weights returned are ``_barycentric``'s for the chosen triangle, because
+    the explicit formula's differ from them in the last bits.
+    """
     x = np.asarray(x, dtype=float)
-    nb = mesh.neighbors()
-    if mesh._centroid_order is None:
-        cent = mesh.vertices[mesh.triangles].mean(axis=1)
-        mesh._centroid_order = cent
-    cent = mesh._centroid_order
-    t = int(np.argmin(((cent - x) ** 2).sum(axis=1)))
-    visited = 0
-    found = -1
-    while visited < max_steps:
-        lam = _barycentric(mesh, t, x)
-        if np.min(lam) >= -1e-12:
-            found = t
-            break
-        s = int(np.argmin(lam))  # lam order: (0: opposite edge bc), map to side
-        # lam[0] belongs to vertex a (opposite side (b, c) = side index 1)
-        side = {0: 1, 1: 2, 2: 0}[s]
-        nxt = nb[t, side]
-        if nxt < 0:
-            break
-        t = int(nxt)
-        visited += 1
-    if found < 0:
-        for tt in range(len(mesh.triangles)):
-            if np.min(_barycentric(mesh, tt, x)) >= -1e-12:
-                found = tt
-                break
-        if found < 0:
-            raise OutsideDomain("point is not inside any mesh triangle")
-    # deterministic tie-break: among the found triangle and its neighbors across
-    # near-zero barycentric edges, the lowest containing index wins
-    lam = _barycentric(mesh, found, x)
-    candidates = {found}
-    for s in range(3):
-        if lam[s] <= 1e-12:
-            side = {0: 1, 1: 2, 2: 0}[s]
-            other = nb[found, side]
-            if other >= 0:
-                candidates.add(int(other))
-    best = min(t for t in candidates if np.min(_barycentric(mesh, t, x)) >= -1e-12)
-    return best, _barycentric(mesh, best, x)
+    p = np.take(mesh.vertices, mesh.triangles, axis=0)
+    e1, e2, r = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], x - p[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    s = (r[:, 0] * e2[:, 1] - r[:, 1] * e2[:, 0]) / det
+    t = (e1[:, 0] * r[:, 1] - e1[:, 1] * r[:, 0]) / det
+    inside = np.flatnonzero((s >= -1e-12) & (t >= -1e-12) & (1.0 - s - t >= -1e-12))
+    if inside.size == 0:
+        raise OutsideDomain("point is not inside any mesh triangle")
+    found = int(inside[0])
+    return found, _barycentric(mesh, found, x)
 
 
 def evaluate_solution(sol: FemSolution, x):
-    """Barycentric interpolation at x (point location by triangle walk)."""
+    """Barycentric interpolation at x in the triangle ``_locate`` picks."""
     t, lam = _locate(sol.mesh, x)
     return sol.values[sol.mesh.triangles[t]] @ lam
 
@@ -663,15 +615,12 @@ def write_solution_csv(path, sol: FemSolution) -> None:
 # ---------------------------------------------------------------------------
 
 def harmonic_measure(polygon: ConvexPolytope, A: CoefficientField, patch, x,
-                     mesh: TriMesh | None = None, h: float = 0.05,
-                     config: SolverConfig = SolverConfig()) -> float:
-    """omega(x, patch): solve with data 1 on patch nodes, 0 elsewhere.
+                     mesh: TriMesh, config: SolverConfig = SolverConfig()) -> float:
+    """omega(x, patch): solve on ``mesh`` with data 1 on patch nodes, 0 elsewhere.
 
     ``patch`` is a predicate on boundary points; positivity of the kernel
     makes the value at x approximate the integral of P(x, .) over the patch.
     """
-    if mesh is None:
-        mesh = triangulate(polygon, h)
     problem = DirichletProblem(
         polygon=polygon, coefficients=A,
         explicit_data=lambda pts: np.array([1.0 if patch(p) else 0.0 for p in pts]))
@@ -679,8 +628,7 @@ def harmonic_measure(polygon: ConvexPolytope, A: CoefficientField, patch, x,
 
 
 def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
-                       arcs_per_face: int = 32, h: float | None = None,
-                       mesh: TriMesh | None = None) -> dict:
+                       arcs_per_face: int = 32, h: float | None = None) -> dict:
     """Per-arc ratios omega(x, arc) / (len * d(x) / dist(x, arc)^2).
 
     Faces are split into equal arcs (dyadic counts align exactly with the
@@ -691,8 +639,7 @@ def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
     fs = faces(polygon)
     if h is None:
         h = min(f.measure for f in fs) / (4.0 * arcs_per_face)
-    if mesh is None:
-        mesh = triangulate(polygon, h)
+    mesh = triangulate(polygon, h)
     b = mesh.boundary_nodes
     bpts = mesh.vertices[b]
     dx = distance_to_boundary(polygon, x)
@@ -714,9 +661,11 @@ def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
             inside = on_face & (tvals >= t0 - 1e-12) & (tvals < t1 - 1e-12)
             rows.append(np.where(inside, 1.0, 0.0))
     sols = _pinned_solves(mesh, A, rows, SolverConfig())
+    found, lam = _locate(mesh, x)
+    tri = mesh.triangles[found]
     ratios = []
     for (fi, p0, p1), sol in zip(arcs, sols):
-        omega = float(evaluate_solution(sol, x))
+        omega = float(sol.values[tri] @ lam)
         ell = float(np.linalg.norm(p1 - p0))
         seg = p1 - p0
         t = float(np.clip(((x - p0) @ seg) / (seg @ seg), 0.0, 1.0))

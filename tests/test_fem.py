@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polyhom import fem as F
 from polyhom import geometry as G
+from polyhom import harness as H
 from polyhom import periodic as P
 from polyhom.errors import (
     BudgetExceeded,
@@ -279,10 +280,21 @@ def test_complex_boundary_data_solved_componentwise():
 def test_nonsymmetric_coefficients_rejected():
     with pytest.raises(NonSymmetricCoefficients):
         F.CoefficientField.constant([[1.0, 0.3], [0.1, 1.0]])
-    bad = F.CoefficientField(evaluator=lambda p: np.array([[1.0, 0.2], [0.1, 1.0]]))
+    bad = F.CoefficientField(
+        evaluator=lambda pts: np.broadcast_to([[1.0, 0.2], [0.1, 1.0]], (len(pts), 2, 2)))
     prob = F.DirichletProblem(polygon=G.unit_square(), coefficients=bad,
                               explicit_data=lambda pts: np.zeros(len(pts)))
     with pytest.raises(NonSymmetricCoefficients):
+        F.solve_dirichlet(prob, F.triangulate(G.unit_square(), 0.5))
+
+
+def test_coefficient_evaluator_must_be_vectorised():
+    per_point = F.CoefficientField(evaluator=lambda p: np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValidationError, match=r"\(3, 2, 2\)"):
+        per_point.evaluate_many(np.zeros((3, 2)))
+    prob = F.DirichletProblem(polygon=G.unit_square(), coefficients=per_point,
+                              explicit_data=lambda pts: np.zeros(len(pts)))
+    with pytest.raises(ValidationError):
         F.solve_dirichlet(prob, F.triangulate(G.unit_square(), 0.5))
 
 
@@ -318,6 +330,38 @@ def test_evaluate_solution_at_vertices_and_linears():
         assert F.evaluate_solution(sol, x) == pytest.approx(want, abs=1e-9)
     with pytest.raises(OutsideDomain):
         F.evaluate_solution(sol, [1.7, 0.3])
+
+
+def test_locate_picks_lowest_index_containing_triangle():
+    gs = G.golden_square()
+    mesh = F.triangulate(gs, 1 / 80)
+    # the sweep's probe points sit on mesh vertices, where up to six triangles meet
+    for x in H.probe_points_at_distances(gs, [0.15, 0.3]):
+        v = np.argmin(np.linalg.norm(mesh.vertices - x, axis=1))
+        incident = np.flatnonzero((mesh.triangles == v).any(axis=1))
+        assert F._locate(mesh, x)[0] == incident.min()
+
+    # the midpoint of an interior edge lies in its two triangles; the lower wins
+    keys = F._edge_keys(mesh.triangles, len(mesh.vertices))
+    uniq, counts = np.unique(keys, return_counts=True)
+    interior = uniq[counts == 2]
+    key = interior[len(interior) // 2]
+    lo, hi = np.sort(np.flatnonzero(keys == key) % len(mesh.triangles))
+    nv = len(mesh.vertices)
+    x = 0.5 * (mesh.vertices[key // nv] + mesh.vertices[key % nv])
+    assert F._locate(mesh, x)[0] == lo
+
+    # with random nodal values the two triangles have different gradients
+    vals = np.random.default_rng(5).normal(size=nv)
+    sol = F.FemSolution(mesh=mesh, values=vals, iterations=0, residual=0.0)
+
+    def affine_gradient(t):
+        tri = mesh.triangles[t]
+        coef = np.linalg.solve(np.column_stack([np.ones(3), mesh.vertices[tri]]), vals[tri])
+        return coef[1:]
+
+    assert not np.allclose(affine_gradient(lo), affine_gradient(hi))
+    assert F.evaluate_gradient(sol, x) == pytest.approx(affine_gradient(lo), rel=1e-9)
 
 
 def test_evaluate_constant_everywhere():
