@@ -148,12 +148,6 @@ class SweepResult:
 _SANDWICH_TOL = 0.08
 
 
-def _gamma(d: int, alpha_star: float) -> float:
-    """(d-1) min{1, a*} / (d-1 + min{1, a*}), the corner cap on the L^p rate."""
-    mina = min(1.0, alpha_star)
-    return (d - 1.0) * mina / (d - 1.0 + mina)
-
-
 def theoretical_rates(d: int, alpha_star: float, p: float, delta: float) -> dict:
     """Exponents of the pointwise and L^p convergence statements.
 
@@ -168,7 +162,8 @@ def theoretical_rates(d: int, alpha_star: float, p: float, delta: float) -> dict
         raise ValidationError("delta must be below alpha_star when alpha_star <= 1")
     beta = 1.0 if alpha_star > 1.0 else alpha_star - delta
     kappa = (d - 1.0) / (d - 1.0 + beta)
-    gamma = _gamma(d, alpha_star)
+    mina = min(1.0, alpha_star)
+    gamma = (d - 1.0) * mina / (d - 1.0 + mina)  # the corner cap on the L^p rate
     return {
         "beta": beta,
         "kappa": kappa,
@@ -355,29 +350,6 @@ def pointwise_envelope(result: SweepResult, probe_idx: int, beta: float, delta: 
     nondiv = ratios[-1] <= 2.0 * float(np.median(ratios)) + 1e-300
     return {"constant": float(np.max(ratios)), "per_eps": tuple(per_eps),
             "nondiverging": bool(nondiv)}
-
-
-def optimality_check(result: SweepResult, p: float, g, alpha_star: float,
-                     tolerance: float = _SANDWICH_TOL) -> dict:
-    """Sandwich test of the fitted L^p exponent against the 1/p floor.
-
-    Skipped when g is constant (no oscillation) and reported NotBinding when
-    1/p >= gamma, where the upper rate is set by gamma rather than 1/p.
-    """
-    if not any(any(mi != 0 for mi in m) and c != 0 for m, c in g.coefficients.items()):
-        return {"status": "skipped_constant_data"}
-    gamma = _gamma(2, alpha_star)
-    if 1.0 / p >= gamma:
-        return {"status": "not_binding", "gamma": gamma, "lower_exp": 1.0 / p}
-    fit = fit_rate_guarded(result.lp_pairs(p))
-    return {
-        "status": "checked",
-        "fitted_exponent": fit.exponent,
-        "lower_exp": 1.0 / p,
-        "margin": fit.exponent - 1.0 / p,
-        "within_tolerance": bool(abs(fit.exponent - 1.0 / p) <= tolerance),
-        "gamma": gamma,
-    }
 
 
 @dataclass(eq=False)

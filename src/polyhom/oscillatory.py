@@ -7,7 +7,9 @@ explicit Jacobian 1/|nu_k| and phase exp(2 pi i lambda c m_k / nu_k).
 The adaptive tensor quadrature below validates that derivation numerically;
 decay envelopes record how fast the integrals fall with lambda for
 Diophantine normals, and face/boundary averages measure equidistribution of
-lambda-dilated boundary data.
+lambda-dilated boundary data with exact integrals only: segment sinc factors
+for d = 2; closed-form patches on lattice cells plus divergence-theorem edge
+sums on the leftover pieces for d = 3.
 """
 
 from __future__ import annotations
@@ -96,14 +98,6 @@ def patch_measure(patch: FacePatch) -> float:
     """Surface measure: prod (b_j - a_j) / |nu_k| for a unit normal."""
     widths = patch.bounds[:, 1] - patch.bounds[:, 0]
     return float(np.prod(widths) / abs(patch.normal[patch.axis]))
-
-
-def frequency_axis(m) -> int:
-    """Index of the first nonzero component of m (the index-set convention)."""
-    for k, v in enumerate(m):
-        if int(v) != 0:
-            return k
-    raise NotApplicable("m = 0 has no oscillation axis")
 
 
 # ---------------------------------------------------------------------------
@@ -263,93 +257,33 @@ def _segment_integral(p: np.ndarray, q: np.ndarray, lam: float, m: np.ndarray) -
     return L * np.exp(2j * np.pi * lam * float(m @ mid)) * np.sinc(w)
 
 
-_DUFFY_S, _DUFFY_T = np.meshgrid(0.5 * (_GLX + 1.0), 0.5 * (_GLX + 1.0), indexing="ij")
-_DUFFY_W = 0.25 * np.outer(_GLW, _GLW)
+def _polygon_integral(verts: np.ndarray, nu: np.ndarray, lam: float, m: np.ndarray) -> complex:
+    """int over a planar convex polygon with unit normal nu of exp(2 pi i lam m . y) d sigma.
 
-
-def _triangle_quad(tris: np.ndarray, lam: float, phase_fn) -> complex:
-    """Gauss-Duffy quadrature of exp(2 pi i lam phase) over planar triangles.
-
-    ``tris`` is (T, 3, 2) in the projection plane; phase_fn maps (N, 2)
-    points to the phase m . lift(u).
+    With k = 2 pi lam m and k_t its in-plane part, exp(i k . y) is the in-plane
+    divergence of k_t exp(i k . y) / (i |k_t|^2), so the integral is the sum
+    over edges e of (k_t . (e x nu)) exp(i k . mid_e) sinc(k . e / 2) / (i |k_t|^2),
+    oriented by the sign of the polygon's signed area along nu.
     """
-    v0 = tris[:, 0][:, None, None, :]
-    e1 = (tris[:, 1] - tris[:, 0])[:, None, None, :]
-    e2 = (tris[:, 2] - tris[:, 0])[:, None, None, :]
-    s = _DUFFY_S[None, :, :, None]
-    t = _DUFFY_T[None, :, :, None]
-    pts = v0 + s * ((1.0 - t) * e1 + t * e2)
-    areas2 = np.abs((tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
-                    - (tris[:, 2, 0] - tris[:, 0, 0]) * (tris[:, 1, 1] - tris[:, 0, 1]))
-    w = areas2[:, None, None] * _DUFFY_W[None, :, :] * _DUFFY_S[None, :, :]
-    phase = phase_fn(pts.reshape(-1, 2)).reshape(pts.shape[:3])
-    return complex(np.sum(w * np.exp(2j * np.pi * lam * phase)))
+    nxt = np.roll(verts, -1, axis=0)
+    area = 0.5 * float(np.sum(np.cross(verts, nxt), axis=0) @ nu)
+    k = 2.0 * np.pi * lam * m
+    kt = k - (k @ nu) * nu
+    q2 = float(kt @ kt)
+    if np.sqrt(q2) <= _SMALL_PHASE * max(1.0, float(np.linalg.norm(k))):
+        return complex(abs(area) * np.exp(1j * float(k @ verts[0])))
+    e = nxt - verts
+    flux = np.cross(e, nu) @ kt
+    edges = flux * np.exp(0.5j * ((verts + nxt) @ k)) * np.sinc(e @ k / (2.0 * np.pi))
+    return complex(np.sign(area) * np.sum(edges) / (1j * q2))
 
 
-def _subdivide(tris: np.ndarray) -> np.ndarray:
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-    return np.concatenate([
-        np.stack([a, ab, ca], axis=1),
-        np.stack([ab, b, bc], axis=1),
-        np.stack([ca, bc, c], axis=1),
-        np.stack([ab, bc, ca], axis=1),
-    ])
-
-
-def _polygon_oscillatory_quad(verts2d: np.ndarray, lam: float, face: Face, axis: int,
-                              m: np.ndarray, tol: float, max_tris: int = 400_000) -> complex:
-    """Numerical integral of exp(2 pi i lam m . lift(u)) over a convex 2-D region.
-
-    ``verts2d`` are coordinates other than ``axis``; lift(u) is the point of
-    the face's hyperplane above u.
-    """
-    centroid = verts2d.mean(axis=0)
-    tris = np.stack([
-        np.tile(centroid, (len(verts2d), 1)),
-        verts2d,
-        np.roll(verts2d, -1, axis=0),
-    ], axis=1)
-    jac = 1.0 / abs(face.normal[axis])
-
-    def lift(u):
-        return hyperplane_lift(face.normal, face.offset, axis, u)
-
-    def phase(u):
-        return lift(u) @ m
-
-    # in-plane frequency from the affine lift, for subdivision sizing
-    g = np.array([float(lift(centroid + e)[0] @ m - lift(centroid)[0] @ m)
-                  for e in np.eye(2)])
-    diam = float(np.max(np.linalg.norm(verts2d - centroid, axis=1))) * 2.0
-    target = 1.0 / max(8.0 * lam * np.linalg.norm(g), 1e-9)
-    levels = max(0, int(np.ceil(np.log2(max(diam / target, 1.0)))))
-    for _ in range(min(levels, 30)):
-        if len(tris) * 4 > max_tris:
-            raise BudgetExceeded("triangle subdivision exceeds cap")
-        edge = max(np.max(np.linalg.norm(tris[:, 1] - tris[:, 0], axis=1)),
-                   np.max(np.linalg.norm(tris[:, 2] - tris[:, 1], axis=1)))
-        if edge <= target:
-            break
-        tris = _subdivide(tris)
-    prev = jac * _triangle_quad(tris, lam, phase)
-    while True:
-        if len(tris) * 4 > max_tris:
-            raise BudgetExceeded("triangle subdivision exceeds cap")
-        tris = _subdivide(tris)
-        value = jac * _triangle_quad(tris, lam, phase)
-        if abs(value - prev) <= tol:
-            return value
-        prev = value
-
-
-def face_average(face: Face, g, lam: float, rho: float | None = None,
-                 tol: float = 1e-10) -> complex:
+def face_average(face: Face, g, lam: float) -> complex:
     """Average of g(lam y) over one face.
 
     d = 2 faces are a single segment and use exact per-frequency integrals;
     d = 3 faces are covered by lattice-partition cells (closed-form patch
-    integrals) plus the numerically integrated leftover.
+    integrals) plus the leftover pieces (exact edge sums).
     """
     if face.dim == 2:
         p, q = face.vertices
@@ -362,9 +296,7 @@ def face_average(face: Face, g, lam: float, rho: float | None = None,
 
     nu = face.normal
     axis = int(np.argmax(np.abs(nu)))
-    if rho is None:
-        rho = max(np.ptp(face.vertices, axis=0)) / 8.0
-    part = lattice_partition(face, axis, rho)
+    part = lattice_partition(face, axis, max(np.ptp(face.vertices, axis=0)) / 8.0)
     others = [j for j in range(3) if j != axis]
     total = 0.0 + 0.0j
     for m, cm in sorted(g.coefficients.items()):
@@ -376,19 +308,18 @@ def face_average(face: Face, g, lam: float, rho: float | None = None,
             patch = FacePatch(normal=nu, offset=face.offset, axis=axis, bounds=bounds)
             contrib += patch_integral_closed_form(patch, lam, m).value
         for piece in part.leftover.pieces:
-            contrib += _polygon_oscillatory_quad(piece[:, others], lam, face, axis, mv, tol)
+            contrib += _polygon_integral(piece, nu, lam, mv)
         total += cm * contrib
     return complex(total / face.measure)
 
 
-def boundary_average(poly: ConvexPolytope, g, lam: float, rho: float | None = None,
-                     tol: float = 1e-10) -> complex:
+def boundary_average(poly: ConvexPolytope, g, lam: float) -> complex:
     """Measure-weighted average of g(lam y) over the whole boundary."""
     fs = faces(poly)
     num = 0.0 + 0.0j
     den = 0.0
     for f in fs:
         mu = f.measure
-        num += mu * face_average(f, g, lam, rho=rho, tol=tol)
+        num += mu * face_average(f, g, lam)
         den += mu
     return complex(num / den)

@@ -81,12 +81,6 @@ def evaluate(g: PeriodicFunction, x):
     return out[0] if single else out.reshape(x.shape[:-1])
 
 
-def subtract_mean(g: PeriodicFunction) -> PeriodicFunction:
-    coeffs = dict(g.coefficients)
-    coeffs.pop((0,) * g.dim, None)
-    return from_coefficients(g.dim, coeffs, g.declared_smoothness)
-
-
 def smoothness_threshold(d: int, tau: float) -> float:
     """(d-1)/2 + (d-1) tau: the decay order used by the pointwise rate argument."""
     if tau <= 0:

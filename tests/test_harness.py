@@ -203,15 +203,11 @@ def test_envelope_nondivergence_flag(sweep_result=None):
     assert len(env["per_eps"]) == 4
 
 
-def test_optimality_statuses():
-    res = _small_result()
-    g = _mix_g()
-    const = P.from_coefficients(2, {0: 3.0})
-    assert H.optimality_check(res, 5.0, const, 1.0)["status"] == "skipped_constant_data"
-    assert H.optimality_check(res, 1.0, g, 1.0)["status"] == "not_binding"
-    checked = H.optimality_check(res, 5.0, g, 1.0)
-    assert checked["status"] == "checked"
-    assert checked["lower_exp"] == pytest.approx(0.2)
+def test_rate_report_sandwich_flags():
+    # gamma = 1/2 at alpha* = 1: the 1/p floor binds for p = 5 (1/5 < 1/2) only
+    flags = H.build_rate_report(_small_result(), alpha_star=1.0).pass_flags
+    assert isinstance(flags["sandwich_p=5"], bool)
+    assert "sandwich_p=2" not in flags
 
 
 # -- report files ------------------------------------------------------------------

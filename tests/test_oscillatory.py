@@ -8,6 +8,8 @@ from polyhom import oscillatory as O
 from polyhom import periodic as P
 from polyhom.errors import BudgetExceeded, NotApplicable, ValidationError
 
+from conftest import random_convex_polytope_3d
+
 PHI = G.GOLDEN_RATIO
 SQRT2 = np.sqrt(2.0)
 
@@ -185,9 +187,6 @@ def test_decay_envelope_rational_negative_control():
 def test_decay_envelope_zero_axis_component():
     with pytest.raises(NotApplicable):
         O.decay_envelope(_golden_patch(), (0, 1), LAMBDA_GRID, tau=1.0)
-    with pytest.raises(NotApplicable):
-        O.frequency_axis((0, 0))
-    assert O.frequency_axis((0, 3)) == 1
 
 
 def test_envelope_csv_round(tmp_path):
@@ -257,7 +256,7 @@ def test_face_average_3d_matches_grid_oracle(rng):
     g = P.from_coefficients(3, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5,
                                (0, 1, 1): 0.25, (0, -1, -1): 0.25})
     lam = 5.0
-    got = O.face_average(f, g, lam, tol=1e-9)
+    got = O.face_average(f, g, lam)
     v = f.vertices
     e1, e2 = v[1] - v[0], v[3] - v[0]
     n = 4000
@@ -266,3 +265,70 @@ def test_face_average_3d_matches_grid_oracle(rng):
     pts = v[0] + S.reshape(-1, 1) * e1 + T.reshape(-1, 1) * e2
     oracle = P.evaluate(g, lam * pts).mean()
     assert abs(got - oracle) < 2e-5
+
+
+def _face_with_normal(poly, nu):
+    return [f for f in G.faces(poly) if np.allclose(f.normal, nu, atol=1e-12)][0]
+
+
+def _default_partition(f):
+    axis = int(np.argmax(np.abs(f.normal)))
+    return G.lattice_partition(f, axis, max(np.ptp(f.vertices, axis=0)) / 8.0)
+
+
+def test_face_average_3d_leftover_matches_box_closed_form():
+    # the tilted face projects onto an axis box along z, so its integral is one
+    # closed-form patch: a route independent of the partition and the edge sums
+    nu = np.array([0.3, -0.2, 1.0])
+    nu /= np.linalg.norm(nu)
+    e = np.eye(3)
+    poly = G.build_polytope([G.HalfSpace(e[0], 0.0), G.HalfSpace(-e[0], -0.93),
+                             G.HalfSpace(e[1], 0.1), G.HalfSpace(-e[1], -0.77),
+                             G.HalfSpace(-e[2], -2.0), G.HalfSpace(nu, -0.5)])
+    f = _face_with_normal(poly, nu)
+    assert _default_partition(f).leftover.pieces
+    box = O.FacePatch(normal=nu, offset=-0.5, axis=2, bounds=np.array([[0.0, 0.93], [0.1, 0.77]]))
+    for m in [(1, 0, 0), (0, 1, 1), (2, -1, 3), (0, 0, 1), (1, 1, 1)]:
+        g = P.from_coefficients(3, {m: 1.0})
+        for lam in (1.0, 7.3, 100.0, 1000.0, 1e4):
+            exact = O.patch_integral_closed_form(box, lam, m).value
+            assert abs(O.face_average(f, g, lam) * f.measure - exact) < 1e-12
+
+
+def test_partition_pieces_sum_to_whole_face_edge_sum(rng):
+    for _ in range(10):
+        for f in G.faces(random_convex_polytope_3d(rng)):
+            part = _default_partition(f)
+            others = [j for j in range(3) if j != part.axis]
+            m = rng.integers(-2, 3, size=3)
+            for lam in (1.0, 7.3, 50.0):
+                pieces = sum(O._polygon_integral(q, f.normal, lam, m.astype(float))
+                             for q in part.leftover.pieces)
+                for cell in part.cells:
+                    u = cell.vertices[:, others]
+                    patch = O.FacePatch(f.normal, f.offset, part.axis,
+                                        np.stack([u.min(axis=0), u.max(axis=0)], axis=1))
+                    pieces += O.patch_integral_closed_form(patch, lam, m).value
+                whole = O._polygon_integral(f.vertices, f.normal, lam, m.astype(float))
+                assert abs(pieces - whole) < 1e-12
+
+
+def test_face_average_3d_in_plane_frequency_zero():
+    # k_t = 0 exactly (cube face x = 1, m = (1, 0, 0)) and up to roundoff
+    # (face x + y = 0.0125 with leftover pieces, m = (1, 1, 0)): the integrand
+    # is the constant phase, exp(2 pi i 1000) = 1 and exp(2 pi i 12.5) = -1
+    lam = 1000.0
+    e = np.eye(3)
+    diag = np.array([1.0, 1.0, 0.0]) / SQRT2
+    cut = G.build_polytope([G.HalfSpace(e[0], -0.4), G.HalfSpace(-e[0], -0.5),
+                            G.HalfSpace(e[1], -0.45), G.HalfSpace(-e[1], -0.5),
+                            G.HalfSpace(e[2], 0.0), G.HalfSpace(-e[2], -1.0),
+                            G.HalfSpace(diag, 0.0125 / SQRT2)])
+    assert _default_partition(_face_with_normal(cut, diag)).leftover.pieces
+    for poly, nu, m, phase in [(G.unit_cube(), -e[0], (1, 0, 0), 1.0),
+                               (cut, diag, (1, 1, 0), -1.0)]:
+        f = _face_with_normal(poly, nu)
+        got = O.face_average(f, P.from_coefficients(3, {m: 1.0}), lam)
+        assert abs(got - phase) < 1e-12
+        whole = O._polygon_integral(f.vertices, f.normal, lam, np.asarray(m, dtype=float))
+        assert abs(whole / f.measure - phase) < 1e-12

@@ -74,11 +74,6 @@ def test_parseval_on_tensor_grid(rng):
     assert abs(power - coeff_power) < 1e-8
 
 
-def test_subtract_mean_is_exact():
-    g = _cosine()
-    assert P.mean(P.subtract_mean(g)) == 0
-
-
 def test_smoothness_thresholds():
     assert P.smoothness_threshold(2, 1.0) == pytest.approx(1.5)
     assert P.smoothness_threshold(3, 2.0) == pytest.approx(5.0)
