@@ -199,6 +199,13 @@ def _sweep_outputs(result, rate_report, out):
     return files
 
 
+def _progress_line(rec, vertices: int, seconds: float) -> None:
+    """One stderr line per finished epsilon of a sweep."""
+    status = f" failed: {rec.error}" if rec.failed else ""
+    print(f"eps={rec.epsilon:.6g} nv={vertices} iterations={rec.iterations} "
+          f"residual={rec.residual:.3e} seconds={seconds:.3f}{status}", file=sys.stderr)
+
+
 def _mode_sweep(cfg, out, base):
     poly = geometry.load_polytope(_require_file(_resolve(base, cfg["polytope"]), "polytope"))
     g = periodic.load_periodic(_require_file(_resolve(base, cfg["periodic"]), "periodic data"))
@@ -219,7 +226,7 @@ def _mode_sweep(cfg, out, base):
                                 max_iter=int(cfg.get("max_iter", 200_000))),
         dioph_tau=float(cfg.get("dioph_tau", 1.0)),
         dioph_bound=int(cfg.get("dioph_bound", 200)))
-    result = harness.run_sweep(poly, A, g, config)
+    result = harness.run_sweep(poly, A, g, config, progress=_progress_line)
     alpha_star = float(cfg.get("alpha_star", geometry.max_adjacent_angle(poly)["alpha_star"]))
     rate_report = harness.build_rate_report(result, alpha_star)
     raw_path = os.path.join(out, "sweep_result.json")

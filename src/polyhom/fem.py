@@ -6,15 +6,18 @@ toward selected corners. Both stages work on whole arrays: the fan's nodes,
 triangles and boundary edges are numbered in closed form, and each bisection
 pass marks, closes and splits every edge at once, so a mesh costs a fixed
 number of numpy passes rather than a Python step per node or triangle.
-The solver assembles the stiffness of -div(A grad u) with one-point
-coefficient quadrature at barycenters, pins Dirichlet nodes, and runs
-Jacobi-preconditioned conjugate gradients. Probes built on top estimate
+The solver assembles the stiffness of -div(A grad u) in closed form with
+one-point coefficient quadrature at barycenters, pins Dirichlet nodes, and
+runs conjugate gradients preconditioned by a smoothed-aggregation algebraic
+multigrid V-cycle; the assembled system is cached per mesh and coefficient
+field, so repeated solves on one mesh set up once. Probes built on top estimate
 harmonic measures of boundary arcs, pointwise Poisson-kernel bounds, and
 corner exponents of solutions vanishing on the faces incident to a vertex.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -434,85 +437,219 @@ class FemSolution:
 # gradients of the reference hat functions, one row per vertex
 _GREF = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
+# smoothed aggregation: strength-of-connection threshold, and the size at
+# or below which a level is factored instead of coarsened
+_STRENGTH = 0.08
+_COARSEST = 500
 
-def _assemble(mesh: TriMesh, A_field: CoefficientField):
-    pts = mesh.vertices[mesh.triangles]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * det
-    inv = np.empty((len(pts), 2, 2))
-    inv[:, 0, 0] = e2[:, 1]
-    inv[:, 0, 1] = -e2[:, 0]
-    inv[:, 1, 0] = -e1[:, 1]
-    inv[:, 1, 1] = e1[:, 0]
-    inv /= det[:, None, None]
-    grads = np.einsum("ir,mrc->mic", _GREF, inv)  # (m, 3, 2)
-    bary = pts.mean(axis=1)
-    Abar = A_field.evaluate_many(bary)
+
+def _local_stiffness(mesh: TriMesh, A_field: CoefficientField):
+    """Per triangle: the diagonal entries K_ii and the entries K_i,i+1 of its P1 stiffness.
+
+    With e_i the side opposite vertex i and R the quarter turn,
+    grad phi_i = R e_i / (2 area), so K_ij = (R e_i)^T A (R e_j) / (4 area),
+    A taken at the barycenter.
+    """
+    p = np.take(mesh.vertices, mesh.triangles, axis=0)
+    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+    ex, ey = e[..., 0], e[..., 1]
+    det = ex[:, 1] * ey[:, 2] - ey[:, 1] * ex[:, 2]   # twice the area
+    Abar = A_field.evaluate_many((p[:, 0] + p[:, 1] + p[:, 2]) / 3.0)
     if np.any(Abar[:, 0, 1] != Abar[:, 1, 0]):
         raise NonSymmetricCoefficients("A(x) is not symmetric at a barycenter")
-    Kloc = np.einsum("mid,mde,mje,m->mij", grads, Abar, grads, area)
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    K = sp.coo_matrix((Kloc.ravel(), (rows, cols)),
-                      shape=(len(mesh.vertices), len(mesh.vertices))).tocsr()
-    return K
+    w = 0.5 / det
+    a00, a01, a11 = (Abar[:, r, c, None] * w[:, None] for r, c in ((0, 0), (0, 1), (1, 1)))
+    # R^T A R e_i / (2 det), with R^T A R = [[a11, -a01], [-a01, a00]]
+    bx, by = a11 * ex - a01 * ey, a00 * ey - a01 * ex
+    nxt = [1, 2, 0]
+    return bx * ex + by * ey, bx * ex[:, nxt] + by * ey[:, nxt]
 
 
-def _cg_solve(Kii, rhs: np.ndarray, config: SolverConfig):
-    if rhs.size == 0:
-        return rhs.copy(), 0, 0.0
-    diag = Kii.diagonal()
-    M = sp.diags(1.0 / np.where(diag > 0, diag, 1.0))
-    counter = {"n": 0}
+def _assemble(mesh: TriMesh, A_field: CoefficientField):
+    """Stiffness matrix, built once the per-triangle arrays are freed.
 
-    def cb(_):
-        counter["n"] += 1
+    Each off-diagonal entry is entered twice, so K is exactly symmetric.
+    """
+    diag, off = _local_stiffness(mesh, A_field)
+    off = off.ravel()
+    t = mesh.triangles.astype(np.int32).ravel()   # vertex budgets are far below 2^31
+    tn = mesh.triangles[:, [1, 2, 0]].astype(np.int32).ravel()
+    nv = len(mesh.vertices)
+    return sp.coo_matrix((np.concatenate([diag.ravel(), off, off]),
+                          (np.concatenate([t, t, tn]), np.concatenate([t, tn, t]))),
+                         shape=(nv, nv)).tocsr()
 
-    bnorm = float(np.linalg.norm(rhs))
-    if bnorm == 0.0:
-        return np.zeros_like(rhs), 0, 0.0
-    x, info = spla.cg(Kii, rhs, rtol=config.linear_tol, atol=0.0,
-                      maxiter=config.max_iter, M=M, callback=cb)
-    res = float(np.linalg.norm(rhs - Kii @ x) / bnorm)
-    if info != 0:
-        raise NoConvergence(f"cg stopped at relative residual {res:.3e} "
-                            f"after {counter['n']} iterations")
-    return x, counter["n"], res
+
+def _aggregate(A) -> np.ndarray:
+    """Aggregate index of every node of A, from distance-2 independent roots.
+
+    Strong connections are |a_ij| >= _STRENGTH sqrt(a_ii a_jj). Roots are a
+    maximal set of nodes more than two strong steps apart, chosen by fixed
+    priorities (a seeded permutation): each round takes every undecided node
+    whose key is the largest within two steps and drops every one with a
+    root within two. Other nodes join the highest-priority root one step
+    away, then the remaining ones the aggregate of the highest-priority
+    root among their neighbours' aggregates.
+    """
+    n = A.shape[0]
+    d = A.diagonal()
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    strong = (rows == A.indices) | (np.abs(A.data) >= _STRENGTH * np.sqrt(d[rows] * d[A.indices]))
+    cols = A.indices[strong]
+    counts = np.add.reduceat(strong, A.indptr[:-1])   # >= 1: the diagonal is strong
+    starts = np.cumsum(counts) - counts
+
+    def near(values):  # per node: max of values over itself and its strong neighbours
+        return np.maximum.reduceat(values[cols], starts)
+
+    # key = state * n + priority, with state 0 dropped, 1 undecided, 2 root
+    prio = np.random.default_rng(0).permutation(n).astype(np.int32)
+    key = n + prio
+    while True:
+        undecided = (key >= n) & (key < 2 * n)
+        if not undecided.any():
+            break
+        top = near(near(key))
+        taken = undecided & (top == key)
+        key[taken] += n
+        key[undecided & ~taken & (top >= 2 * n)] -= n
+    root = key >= 2 * n
+    agg = np.full(n, -1)
+    agg[root] = np.arange(root.sum())
+    root_prio = prio[root]
+    node_of = np.argsort(prio)
+    for _ in range(2):      # the ring around each root, then the ring beyond
+        best = near(np.where(agg >= 0, root_prio[agg], -1))
+        join = (agg < 0) & (best >= 0)
+        agg[join] = agg[node_of[best[join]]]
+    # only where a coarse level's roundoff made S unsymmetric
+    lone = agg < 0
+    agg[lone] = root.sum() + np.arange(lone.sum())
+    return agg
+
+
+@dataclass(eq=False)
+class _Level:
+    A: object            # csr matrix of this level
+    smooth: np.ndarray   # omega / diag(A): one damped Jacobi sweep
+    P: object            # prolongator from the next coarser level
+    R: object            # its transpose
+
+
+def _hierarchy(A) -> tuple[list, object]:
+    """Smoothed-aggregation levels (Vanek, Mandel & Brezina, Computing 56, 1996).
+
+    Each level's tentative prolongator maps an aggregate to the indicator of
+    its nodes; one damped Jacobi step, omega = 4 / (3 rho) with rho the
+    Gershgorin bound on the spectral radius of D^-1 A (2 for an M-matrix),
+    smooths it, and the next level is P^T A P. Levels of at most _COARSEST
+    unknowns, or that do not coarsen, get a sparse LU factor.
+    """
+    levels = []
+    while A.shape[0] > _COARSEST:
+        n = A.shape[0]
+        agg = _aggregate(A)
+        nagg = int(agg.max()) + 1
+        if nagg == n:
+            break
+        d = A.diagonal()
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        rho = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[:-1]) / d))
+        smooth = (4.0 / (3.0 * rho)) / d
+        P = sp.coo_matrix((np.concatenate([np.ones(n), -smooth[rows] * A.data]),
+                           (np.concatenate([np.arange(n), rows]),
+                            np.concatenate([agg, agg[A.indices]]))), shape=(n, nagg)).tocsr()
+        R = P.T.tocsr()
+        levels.append(_Level(A=A, smooth=smooth, P=P, R=R))
+        A = (R @ (A @ P)).tocsr()
+    return levels, spla.splu(A.tocsc())
+
+
+class DirichletSystem:
+    """The pinned P1 system of one mesh and coefficient field.
+
+    Assembles the stiffness once and splits it into the interior block Kii
+    and the interior-boundary block; the interior solver is built on first
+    use. It keeps no reference to the mesh, so a cached system dies with it.
+    """
+
+    def __init__(self, mesh: TriMesh, A: CoefficientField):
+        K = _assemble(mesh, A)
+        self.nv = len(mesh.vertices)
+        self.boundary = mesh.boundary_nodes
+        self.interior = np.setdiff1d(np.arange(self.nv), self.boundary)
+        Ki = K[self.interior]
+        self.Kii = Ki[:, self.interior]
+        self.neg_Kib = -Ki[:, self.boundary]
+        self._levels = self._coarse = self._lu = None
+
+    def vcycle(self, b: np.ndarray, k: int = 0) -> np.ndarray:
+        """One V-cycle from zero: a symmetric positive definite approximate inverse of Kii."""
+        if self._levels is None:
+            self._levels, self._coarse = _hierarchy(self.Kii)
+        if k == len(self._levels):
+            return self._coarse.solve(b)
+        L = self._levels[k]
+        x = L.smooth * b
+        x += L.P @ self.vcycle(L.R @ (b - L.A @ x), k + 1)
+        x += L.smooth * (b - L.A @ x)
+        return x
+
+    def solve(self, rows, config: SolverConfig) -> list:
+        """(values, iterations, residual) for each row of boundary values.
+
+        One or two rows (real data, or the two halves of complex data) run
+        conjugate gradients preconditioned by the V-cycle; more share one
+        sparse LU factor of Kii, as for the kernel probe's arcs. The residual
+        is the relative ||rhs - Kii x|| / ||rhs|| reached.
+        """
+        if len(rows) > 2 and self._lu is None:
+            self._lu = spla.splu(self.Kii.tocsc())
+        out = []
+        for vb in rows:
+            rhs = self.neg_Kib @ vb
+            bnorm = float(np.linalg.norm(rhs))
+            if bnorm == 0.0:
+                x, iters, res = np.zeros_like(rhs), 0, 0.0
+            else:
+                x, iters = (self._lu.solve(rhs), 0) if len(rows) > 2 else self._cg(rhs, config)
+                res = float(np.linalg.norm(rhs - self.Kii @ x) / bnorm)
+            u = np.zeros(self.nv)
+            u[self.boundary] = vb
+            u[self.interior] = x
+            out.append((u, iters, res))
+        return out
+
+    def _cg(self, rhs: np.ndarray, config: SolverConfig):
+        n = len(rhs)
+        M = spla.LinearOperator((n, n), matvec=self.vcycle, dtype=float)
+        count = [0]
+        x, info = spla.cg(self.Kii, rhs, rtol=config.linear_tol, atol=0.0,
+                          maxiter=config.max_iter, M=M,
+                          callback=lambda _: count.__setitem__(0, count[0] + 1))
+        if info != 0:
+            res = float(np.linalg.norm(rhs - self.Kii @ x) / np.linalg.norm(rhs))
+            raise NoConvergence(f"cg stopped at relative residual {res:.3e} "
+                                f"after {count[0]} iterations")
+        return x, count[0]
+
+
+# per mesh, per coefficient field; an entry dies with its mesh
+_SYSTEMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _pinned_solves(mesh: TriMesh, A: CoefficientField, rows,
                    config: SolverConfig) -> list[FemSolution]:
     """One P1 solution per row of boundary values, all on one mesh and field.
 
-    Boundary nodes are pinned to the row and the interior system is solved by
-    Jacobi-CG for one or two rows (real data, or the two halves of complex
-    data) and by one sparse LU factor shared by every row when there are
-    more, as for the kernel probe's arcs. Each solution carries the relative
-    residual ||rhs - Kii x|| / ||rhs|| it reached.
+    Boundary nodes are pinned to the row; the mesh's cached ``DirichletSystem``
+    for A solves the interior (see ``DirichletSystem.solve``).
     """
-    K = _assemble(mesh, A)
-    nv = len(mesh.vertices)
-    boundary = mesh.boundary_nodes
-    interior = np.setdiff1d(np.arange(nv), boundary)
-    Kii = K[interior][:, interior]
-    neg_Kib = -K[interior][:, boundary]
-    lu = spla.splu(Kii.tocsc()) if len(rows) > 2 else None
-    sols = []
-    for vb in rows:
-        rhs = neg_Kib @ vb
-        if lu is None:
-            x, iters, res = _cg_solve(Kii, rhs, config)
-        else:
-            x, iters = lu.solve(rhs), 0
-            bnorm = float(np.linalg.norm(rhs))
-            res = float(np.linalg.norm(rhs - Kii @ x) / bnorm) if bnorm > 0 else 0.0
-        u = np.zeros(nv)
-        u[boundary] = vb
-        u[interior] = x
-        sols.append(FemSolution(mesh=mesh, values=u, iterations=iters, residual=res))
-    return sols
+    per_mesh = _SYSTEMS.setdefault(mesh, {})
+    if A not in per_mesh:
+        per_mesh[A] = DirichletSystem(mesh, A)
+    return [FemSolution(mesh=mesh, values=u, iterations=iters, residual=res)
+            for u, iters, res in per_mesh[A].solve(rows, config)]
 
 
 def solve_dirichlet(problem: DirichletProblem, mesh: TriMesh,

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import os
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -229,7 +230,9 @@ def run_sweep(polygon: ConvexPolytope, A: fem.CoefficientField, g, config: Sweep
 
     Faces whose normals fail Diophantine certification produce a warning but
     the sweep proceeds (rational controls are a supported experiment). A
-    failed epsilon aborts only itself and is recorded as failed.
+    failed epsilon aborts only itself and is recorded as failed. After each
+    epsilon, ``progress(record, vertices, seconds)`` is called if given, with
+    the mesh's vertex count (0 if meshing failed) and the epsilon's seconds.
     """
     if polygon.dim != 2:
         raise ValidationError("sweeps run on 2-D polygons")
@@ -251,27 +254,39 @@ def run_sweep(polygon: ConvexPolytope, A: fem.CoefficientField, g, config: Sweep
 
     records = []
     for eps in config.epsilons:
-        h = eps / config.eta
-        rec = EpsilonRecord(epsilon=eps, h_used=h)
-        try:
-            mesh = fem.triangulate(polygon, h)
-            problem = fem.DirichletProblem(polygon=polygon, coefficients=A,
-                                           periodic_data=g, epsilon=eps)
-            sol = fem.solve_dirichlet(problem, mesh, config.solver)
-            rec.iterations = sol.iterations
-            rec.residual = sol.residual
-            rec.lp_errors = {p: float(fem.lp_error(sol, gbar, p)) for p in config.p_values}
-            rec.pointwise_errors = tuple(
-                float(abs(fem.evaluate_solution(sol, np.asarray(pt)) - gbar))
-                for pt in config.probe_points)
-        except Exception as exc:  # noqa: BLE001 - only this epsilon aborts
-            rec.failed = True
-            rec.error = f"{type(exc).__name__}: {exc}"
+        start = time.perf_counter()
+        rec = EpsilonRecord(epsilon=eps, h_used=eps / config.eta)
+        vertices = _solve_record(rec, polygon, A, g, gbar, config)
         records.append(rec)
         if progress is not None:
-            progress(rec)
+            progress(rec, vertices, time.perf_counter() - start)
     return SweepResult(config=config, gbar=gbar, probe_distances=tuple(probe_d),
                        records=records, warnings=collected)
+
+
+def _solve_record(rec: EpsilonRecord, polygon, A, g, gbar: float, config: SweepConfig) -> int:
+    """Fill ``rec`` for its epsilon; returns the vertex count (0 if meshing failed).
+
+    The mesh and solution are locals, so they and the solver state cached on
+    the mesh are freed before the next epsilon is meshed.
+    """
+    vertices = 0
+    try:
+        mesh = fem.triangulate(polygon, rec.h_used)
+        vertices = len(mesh.vertices)
+        problem = fem.DirichletProblem(polygon=polygon, coefficients=A,
+                                       periodic_data=g, epsilon=rec.epsilon)
+        sol = fem.solve_dirichlet(problem, mesh, config.solver)
+        rec.iterations = sol.iterations
+        rec.residual = sol.residual
+        rec.lp_errors = {p: float(fem.lp_error(sol, gbar, p)) for p in config.p_values}
+        rec.pointwise_errors = tuple(
+            float(abs(fem.evaluate_solution(sol, np.asarray(pt)) - gbar))
+            for pt in config.probe_points)
+    except Exception as exc:  # noqa: BLE001 - only this epsilon aborts
+        rec.failed = True
+        rec.error = f"{type(exc).__name__}: {exc}"
+    return vertices
 
 
 # ---------------------------------------------------------------------------

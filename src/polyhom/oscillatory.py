@@ -15,6 +15,7 @@ sums on the leftover pieces for d = 3.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .geometry import (ConvexPolytope, Face, _readonly, faces, hyperplane_lift,
                        lattice_partition)
 
 _SMALL_PHASE = 1e-13
+_TAYLOR_PHASE = 1e-3
 _GAUSS_ORDER = 8
 _GLX, _GLW = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 
@@ -263,7 +265,10 @@ def _polygon_integral(verts: np.ndarray, nu: np.ndarray, lam: float, m: np.ndarr
     With k = 2 pi lam m and k_t its in-plane part, exp(i k . y) is the in-plane
     divergence of k_t exp(i k . y) / (i |k_t|^2), so the integral is the sum
     over edges e of (k_t . (e x nu)) exp(i k . mid_e) sinc(k . e / 2) / (i |k_t|^2),
-    oriented by the sign of the polygon's signed area along nu.
+    oriented by the sign of the polygon's signed area along nu. The edge terms
+    cancel to about 1e-16 / (|k_t| w), w the polygon's width along k_t, so
+    where |k_t| w, half the sum of |k_t . e|, is at most _TAYLOR_PHASE a
+    Taylor series in k_t is used instead.
     """
     nxt = np.roll(verts, -1, axis=0)
     area = 0.5 * float(np.sum(np.cross(verts, nxt), axis=0) @ nu)
@@ -273,9 +278,31 @@ def _polygon_integral(verts: np.ndarray, nu: np.ndarray, lam: float, m: np.ndarr
     if np.sqrt(q2) <= _SMALL_PHASE * max(1.0, float(np.linalg.norm(k))):
         return complex(abs(area) * np.exp(1j * float(k @ verts[0])))
     e = nxt - verts
+    if float(np.sum(np.abs(e @ kt))) <= 2.0 * _TAYLOR_PHASE:
+        return complex(np.sign(area) * np.exp(1j * float(k @ verts[0]))
+                       * _polygon_integral_taylor(verts - verts[0], nu, kt))
     flux = np.cross(e, nu) @ kt
     edges = flux * np.exp(0.5j * ((verts + nxt) @ k)) * np.sinc(e @ k / (2.0 * np.pi))
     return complex(np.sign(area) * np.sum(edges) / (1j * q2))
+
+
+def _polygon_integral_taylor(rel: np.ndarray, nu: np.ndarray, kt: np.ndarray) -> complex:
+    """int of exp(i kt . t) over the polygon with vertices rel (rel[0] = 0), signed along nu.
+
+    Over the fan triangle (0, p, q) of signed area s, with a = kt . p and
+    b = kt . q, the integral is 2 s sum_n i^n h_n(a, b) / (n + 2)!, where
+    h_n(a, b) = sum_{j <= n} a^j b^(n-j); five terms reach roundoff for
+    |a|, |b| <= _TAYLOR_PHASE, which the polygon's width along kt ensures.
+    """
+    p, q = rel[1:-1], rel[2:]
+    s = 0.5 * (np.cross(p, q) @ nu)
+    a, b = p @ kt, q @ kt
+    h = np.ones_like(a)
+    series = h / 2.0
+    for n in range(1, 5):
+        h = a ** n + b * h
+        series = series + (1j ** n / math.factorial(n + 2)) * h
+    return complex(np.sum(2.0 * s * series))
 
 
 def face_average(face: Face, g, lam: float) -> complex:

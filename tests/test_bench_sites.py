@@ -1,15 +1,22 @@
-"""Every call site the benchmark's traced pass wraps must still exist.
+"""Every call site the benchmark's traced pass wraps must still exist and run.
 
 The traced pass replaces these module attributes with timing wrappers; a
-renamed or removed function would otherwise fail only there.
+renamed or removed function, or a wrapper's counter that no longer fits what
+the function returns, would otherwise fail only there.
 """
 
 import os
 import sys
 
+import numpy as np
+
+from polyhom import fem as F
+from polyhom import geometry as G
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
 import layers  # noqa: E402
+import tracer  # noqa: E402
 
 
 def test_every_wrapped_site_resolves_to_a_callable():
@@ -17,3 +24,22 @@ def test_every_wrapped_site_resolves_to_a_callable():
     assert sites
     for module, attr, span, _ in sites:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({span})"
+
+
+def test_traced_solves_record_their_counts():
+    sq = G.unit_square()
+    mesh = F.triangulate(sq, 0.05)
+    A = F.CoefficientField.identity()
+    prob = F.DirichletProblem(polygon=sq, coefficients=A,
+                              explicit_data=lambda pts: np.sin(3.0 * pts[:, 0]))
+    tr = tracer.Tracer()
+    with tracer.patched(tr, layers.sites()):
+        F.solve_dirichlet(prob, mesh)
+        F.harmonic_measure(sq, A, lambda y: y[1] <= 1e-12, np.array([0.5, 0.5]), mesh=mesh)
+    solves = [e for name, e in tr.events if name == "fem.solve_dirichlet"]
+    assert len(solves) == 2
+    for e in solves:
+        assert e["vertices"] == len(mesh.vertices) and e["iterations"] > 0
+    totals = tr.totals()
+    assert totals["fem.harmonic_measure"]["calls"] == 1
+    assert not any(t["failed"] for t in totals.values())

@@ -163,3 +163,34 @@ def test_unknown_coefficient_type(tmp_path, golden_files):
         "schema": 1, "polytope": poly, "coefficients": {"type": "mystery"},
         "boundary": {"type": "constant", "value": 1.0}, "h": 0.2})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+def _golden_sweep_config(tmp_path, golden_files):
+    poly, gpath = golden_files
+    return _write(tmp_path / "c.json", {
+        "schema": 1, "polytope": poly, "periodic": gpath,
+        "epsilons": [0.25, 1 / 6, 0.125], "p_values": [2.0, 5.0],
+        "probe_distances": [0.3], "eta": 5.0, "linear_tol": 1e-8})
+
+
+def test_sweep_progress_one_stderr_line_per_eps(tmp_path, golden_files, capsys):
+    cfg = _golden_sweep_config(tmp_path, golden_files)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[0] for line in lines] == ["eps=0.25", "eps=0.166667", "eps=0.125"]
+    for line in lines:
+        fields = dict(f.split("=") for f in line.split())
+        assert int(fields["nv"]) > 0 and int(fields["iterations"]) > 0
+        assert float(fields["residual"]) <= 1e-8 and float(fields["seconds"]) >= 0.0
+
+
+def test_sweep_progress_leaves_artifacts_unchanged(tmp_path, golden_files, monkeypatch):
+    cfg = _golden_sweep_config(tmp_path, golden_files)
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
+    run_sweep = H.run_sweep
+    monkeypatch.setattr(H, "run_sweep",
+                        lambda poly, A, g, config, progress=None: run_sweep(poly, A, g, config))
+    assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
+    for name in ("sweep.csv", "summary.json", "sweep_result.json", "manifest.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

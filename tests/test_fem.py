@@ -1,8 +1,12 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from conftest import random_convex_polygon
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,7 +191,7 @@ def test_explicit_data_must_be_vectorised():
 
 
 def test_cg_and_sparse_lu_solves_agree():
-    # one or two rows go through Jacobi-CG, more share one sparse LU factor
+    # one or two rows go through AMG-preconditioned CG, more share one sparse LU factor
     mesh = F.triangulate(G.regular_hexagon(), 0.1)
     A = F.CoefficientField.constant([[2.0, 0.5], [0.5, 1.0]])
     bpts = mesh.vertices[mesh.boundary_nodes]
@@ -200,6 +204,109 @@ def test_cg_and_sparse_lu_solves_agree():
         assert np.max(np.abs(lu_sol.values - cg_sol.values)) <= 1e-8
         assert lu_sol.residual <= 1e-12
     assert any(s.residual > 0.0 for s in lu_sols)  # measured, not a hard-coded 0
+
+
+def _einsum_stiffness(mesh, A_field):
+    """The gradient-matrix stiffness formula, kept as an oracle for the closed form."""
+    pts = mesh.vertices[mesh.triangles]
+    e1 = pts[:, 1] - pts[:, 0]
+    e2 = pts[:, 2] - pts[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    inv = np.empty((len(pts), 2, 2))
+    inv[:, 0, 0] = e2[:, 1]
+    inv[:, 0, 1] = -e2[:, 0]
+    inv[:, 1, 0] = -e1[:, 1]
+    inv[:, 1, 1] = e1[:, 0]
+    inv /= det[:, None, None]
+    grads = np.einsum("ir,mrc->mic", F._GREF, inv)
+    Abar = A_field.evaluate_many(pts.mean(axis=1))
+    Kloc = np.einsum("mid,mde,mje,m->mij", grads, Abar, grads, 0.5 * det)
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    nv = len(mesh.vertices)
+    return sp.coo_matrix((Kloc.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
+def _variable_field(pts):
+    s = 1.0 + 0.5 * np.cos(7.0 * pts[:, 0]) * np.sin(5.0 * pts[:, 1])
+    return s[:, None, None] * np.array([[1.5, 0.4], [0.4, 0.7]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.3), st.sampled_from([0.0, 1.0]))
+def test_closed_form_stiffness_matches_einsum_oracle(seed, h, grading):
+    rng = np.random.default_rng(seed)
+    poly = random_convex_polygon(rng)
+    verts = G.polygon_vertices(poly)
+    mesh = F.triangulate(poly, h, grading=grading, grading_centers=verts[:1],
+                         min_edge=1e-3 * poly.diameter)
+    for A in (F.CoefficientField.constant([[3.0, -1.2], [-1.2, 0.8]]),
+              F.CoefficientField(evaluator=_variable_field, ellipticity=4.0)):
+        K, oracle = F._assemble(mesh, A), _einsum_stiffness(mesh, A)
+        assert abs(K - oracle).max() <= 1e-14 * abs(oracle).max()
+        assert (K != K.T).nnz == 0
+
+
+def _golden_system(eps):
+    gs = G.golden_square()
+    mesh = F.triangulate(gs, eps / 10.0)
+    g = P.from_coefficients(2, {(1, 0): 0.5, (-1, 0): 0.5, (1, 1): -0.5j, (-1, -1): 0.5j})
+    prob = F.DirichletProblem(polygon=gs, coefficients=I2, periodic_data=g, epsilon=eps)
+    return mesh, prob.boundary_values(mesh.vertices[mesh.boundary_nodes])
+
+
+@pytest.mark.parametrize("eps", [1 / 8, 1 / 12, 1 / 16])
+def test_amg_cg_iterations_and_accuracy_on_golden_square(eps):
+    mesh, vb = _golden_system(eps)
+    system = F.DirichletSystem(mesh, I2)
+    ((u, iters, res),) = system.solve([vb], F.SolverConfig(linear_tol=1e-8))
+    assert 0 < iters <= 25 and res <= 1e-8
+    x = spla.splu(system.Kii.tocsc()).solve(system.neg_Kib @ vb)
+    assert np.max(np.abs(u[system.interior] - x)) <= 1e-7 * np.max(np.abs(x))
+
+
+def test_vcycle_is_symmetric():
+    mesh = F.triangulate(G.regular_hexagon(), 0.02)
+    system = F.DirichletSystem(mesh, F.CoefficientField.constant([[2.0, 0.5], [0.5, 1.0]]))
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((2, len(system.interior)))
+    Mx, My = system.vcycle(x), system.vcycle(y)
+    assert len(system._levels) >= 1       # a real hierarchy, not only the coarse factor
+    assert abs(y @ Mx - x @ My) <= 1e-12 * abs(x @ My)
+    assert x @ Mx > 0 and y @ My > 0
+
+
+def test_two_builds_give_bit_identical_solutions():
+    mesh, vb = _golden_system(1 / 8)
+    cfg = F.SolverConfig(linear_tol=1e-8)
+    (a,), (b,) = (F.DirichletSystem(mesh, I2).solve([vb], cfg) for _ in range(2))
+    assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
+
+
+def test_harmonic_measures_on_one_mesh_assemble_once(monkeypatch):
+    calls = []
+    assemble = F._assemble
+    monkeypatch.setattr(F, "_assemble", lambda *a: calls.append(1) or assemble(*a))
+    gs = G.golden_square()
+    centroid = G.polygon_vertices(gs).mean(axis=0)
+    mesh = F.triangulate(gs, 0.05)
+    f0 = G.faces(gs)[0]
+    for rho in (0.04, 0.02, 0.01):
+        F.harmonic_measure(gs, I2, lambda y, rho=rho: abs(float(f0.normal @ y) - f0.offset)
+                           <= 1e-10 and G.face_strip_membership(f0, rho, y),
+                           centroid, mesh=mesh)
+    assert len(calls) == 1
+
+
+def test_cached_system_dies_with_its_mesh():
+    mesh = F.triangulate(G.unit_square(), 0.1)
+    prob = F.DirichletProblem(polygon=G.unit_square(), coefficients=I2,
+                              explicit_data=lambda pts: pts[:, 0])
+    F.solve_dirichlet(prob, mesh)
+    mesh_ref, system_ref = weakref.ref(mesh), weakref.ref(F._SYSTEMS[mesh][I2])
+    del mesh
+    gc.collect()
+    assert mesh_ref() is None and system_ref() is None
 
 
 def test_manufactured_harmonic_l2_order():

@@ -332,3 +332,16 @@ def test_face_average_3d_in_plane_frequency_zero():
         assert abs(got - phase) < 1e-12
         whole = O._polygon_integral(f.vertices, f.normal, lam, np.asarray(m, dtype=float))
         assert abs(whole / f.measure - phase) < 1e-12
+
+
+@pytest.mark.parametrize("delta", [1e-7, 1e-9, 1e-11])
+def test_polygon_integral_small_in_plane_frequency(delta):
+    # a 0.7 x 0.6 rectangle in the plane with normal ~ (delta, 0, 1) and
+    # m = (0, 0, 1): |k_t| ~ 2 pi delta, where the edge sum cancels
+    nu = np.array([delta, 0.0, 1.0]) / np.hypot(delta, 1.0)
+    patch = O.FacePatch(normal=nu, offset=0.3, axis=2, bounds=[[0.1, 0.8], [0.2, 0.8]])
+    verts = patch.lift(np.array([[0.1, 0.2], [0.8, 0.2], [0.8, 0.8], [0.1, 0.8]]))
+    m = np.array([0.0, 0.0, 1.0])
+    want = O.patch_integral_closed_form(patch, 1.0, m).value
+    for v in (verts, verts[::-1]):
+        assert abs(O._polygon_integral(v, nu, 1.0, m) - want) <= 1e-12 * abs(want)
