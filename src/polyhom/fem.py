@@ -46,17 +46,22 @@ from .geometry import (
 # mesh
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TriMesh:
     """Conforming triangle mesh with tagged boundary edges.
 
     ``boundary_edges`` rows are (a, b, face_index); all triangles are
-    counterclockwise. Treated as immutable after construction.
+    counterclockwise. The arrays are made read-only, because solves cache
+    the assembled system per mesh object.
     """
 
     vertices: np.ndarray       # (nv, 2)
     triangles: np.ndarray      # (nt, 3) int
     boundary_edges: np.ndarray  # (nb, 3) int
+
+    def __post_init__(self):
+        for a in (self.vertices, self.triangles, self.boundary_edges):
+            a.setflags(write=False)
 
     @property
     def boundary_nodes(self) -> np.ndarray:
@@ -198,7 +203,6 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
         coords, tris, bedges = _graded_bisection(
             coords, tris, bedges, centers, h, grading, diam, floor, max_vertices)
 
-    coords.setflags(write=False)
     bedges = bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))]
     mesh = TriMesh(vertices=coords, triangles=tris, boundary_edges=bedges)
     _validate_mesh(mesh, polygon)
@@ -334,7 +338,6 @@ def read_mesh(path) -> TriMesh:
                              dtype=np.int64)
         bedges = np.array([[int(s) for s in f.readline().split()] for _ in range(nb)],
                           dtype=np.int64)
-    vertices.setflags(write=False)
     return TriMesh(vertices=vertices, triangles=triangles, boundary_edges=bedges)
 
 
@@ -565,7 +568,7 @@ def _hierarchy(A) -> tuple[list, object]:
     return levels, spla.splu(A.tocsc())
 
 
-class DirichletSystem:
+class _DirichletSystem:
     """The pinned P1 system of one mesh and coefficient field.
 
     Assembles the stiffness once and splits it into the interior block Kii
@@ -642,12 +645,12 @@ def _pinned_solves(mesh: TriMesh, A: CoefficientField, rows,
                    config: SolverConfig) -> list[FemSolution]:
     """One P1 solution per row of boundary values, all on one mesh and field.
 
-    Boundary nodes are pinned to the row; the mesh's cached ``DirichletSystem``
-    for A solves the interior (see ``DirichletSystem.solve``).
+    Boundary nodes are pinned to the row; the mesh's cached ``_DirichletSystem``
+    for A solves the interior (see ``_DirichletSystem.solve``).
     """
     per_mesh = _SYSTEMS.setdefault(mesh, {})
     if A not in per_mesh:
-        per_mesh[A] = DirichletSystem(mesh, A)
+        per_mesh[A] = _DirichletSystem(mesh, A)
     return [FemSolution(mesh=mesh, values=u, iterations=iters, residual=res)
             for u, iters, res in per_mesh[A].solve(rows, config)]
 

@@ -267,16 +267,14 @@ def _polygon_integral(verts: np.ndarray, nu: np.ndarray, lam: float, m: np.ndarr
     over edges e of (k_t . (e x nu)) exp(i k . mid_e) sinc(k . e / 2) / (i |k_t|^2),
     oriented by the sign of the polygon's signed area along nu. The edge terms
     cancel to about 1e-16 / (|k_t| w), w the polygon's width along k_t, so
-    where |k_t| w, half the sum of |k_t . e|, is at most _TAYLOR_PHASE a
-    Taylor series in k_t is used instead.
+    where |k_t| w, half the sum of |k_t . e|, is at most _TAYLOR_PHASE (k_t = 0
+    included) a Taylor series in k_t is used instead.
     """
     nxt = np.roll(verts, -1, axis=0)
     area = 0.5 * float(np.sum(np.cross(verts, nxt), axis=0) @ nu)
     k = 2.0 * np.pi * lam * m
     kt = k - (k @ nu) * nu
     q2 = float(kt @ kt)
-    if np.sqrt(q2) <= _SMALL_PHASE * max(1.0, float(np.linalg.norm(k))):
-        return complex(abs(area) * np.exp(1j * float(k @ verts[0])))
     e = nxt - verts
     if float(np.sum(np.abs(e @ kt))) <= 2.0 * _TAYLOR_PHASE:
         return complex(np.sign(area) * np.exp(1j * float(k @ verts[0]))

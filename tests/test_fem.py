@@ -258,7 +258,7 @@ def _golden_system(eps):
 @pytest.mark.parametrize("eps", [1 / 8, 1 / 12, 1 / 16])
 def test_amg_cg_iterations_and_accuracy_on_golden_square(eps):
     mesh, vb = _golden_system(eps)
-    system = F.DirichletSystem(mesh, I2)
+    system = F._DirichletSystem(mesh, I2)
     ((u, iters, res),) = system.solve([vb], F.SolverConfig(linear_tol=1e-8))
     assert 0 < iters <= 25 and res <= 1e-8
     x = spla.splu(system.Kii.tocsc()).solve(system.neg_Kib @ vb)
@@ -267,7 +267,7 @@ def test_amg_cg_iterations_and_accuracy_on_golden_square(eps):
 
 def test_vcycle_is_symmetric():
     mesh = F.triangulate(G.regular_hexagon(), 0.02)
-    system = F.DirichletSystem(mesh, F.CoefficientField.constant([[2.0, 0.5], [0.5, 1.0]]))
+    system = F._DirichletSystem(mesh, F.CoefficientField.constant([[2.0, 0.5], [0.5, 1.0]]))
     rng = np.random.default_rng(3)
     x, y = rng.standard_normal((2, len(system.interior)))
     Mx, My = system.vcycle(x), system.vcycle(y)
@@ -279,7 +279,7 @@ def test_vcycle_is_symmetric():
 def test_two_builds_give_bit_identical_solutions():
     mesh, vb = _golden_system(1 / 8)
     cfg = F.SolverConfig(linear_tol=1e-8)
-    (a,), (b,) = (F.DirichletSystem(mesh, I2).solve([vb], cfg) for _ in range(2))
+    (a,), (b,) = (F._DirichletSystem(mesh, I2).solve([vb], cfg) for _ in range(2))
     assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
 
 
@@ -307,6 +307,18 @@ def test_cached_system_dies_with_its_mesh():
     del mesh
     gc.collect()
     assert mesh_ref() is None and system_ref() is None
+
+
+def test_mesh_cannot_change_under_its_cached_system(tmp_path):
+    """A cached system is keyed on the mesh object, so the mesh is immutable."""
+    made = F.triangulate(G.unit_square(), 0.25)
+    F.write_mesh(tmp_path / "m.txt", made)
+    for mesh in (made, F.read_mesh(tmp_path / "m.txt")):
+        for name in ("vertices", "triangles", "boundary_edges"):
+            with pytest.raises(ValueError):
+                getattr(mesh, name)[0, 0] += 1
+            with pytest.raises(AttributeError):
+                setattr(mesh, name, getattr(mesh, name).copy())
 
 
 def test_manufactured_harmonic_l2_order():
