@@ -11,8 +11,9 @@ one-point coefficient quadrature at barycenters, pins Dirichlet nodes, and
 runs conjugate gradients preconditioned by a smoothed-aggregation algebraic
 multigrid V-cycle; the assembled system is cached per mesh and coefficient
 field, so repeated solves on one mesh set up once. Probes built on top estimate
-harmonic measures of boundary arcs, pointwise Poisson-kernel bounds, and
-corner exponents of solutions vanishing on the faces incident to a vertex.
+harmonic measures of boundary arcs, pointwise Poisson-kernel bounds (from one
+adjoint solve), and corner exponents of solutions vanishing on the faces
+incident to a vertex.
 """
 
 from __future__ import annotations
@@ -424,6 +425,13 @@ class SolverConfig:
     linear_tol: float = 1e-10
     max_iter: int = 200_000
 
+    def __post_init__(self):
+        # CG run for no iteration returns its zero guess as converged
+        if not self.linear_tol > 0:  # also rejects nan
+            raise ValidationError("linear_tol must be positive")
+        if not self.max_iter >= 1:
+            raise ValidationError("max_iter must be at least 1")
+
 
 @dataclass(eq=False)
 class FemSolution:
@@ -572,7 +580,7 @@ class _DirichletSystem:
     """The pinned P1 system of one mesh and coefficient field.
 
     Assembles the stiffness once and splits it into the interior block Kii
-    and the interior-boundary block; the interior solver is built on first
+    and the interior-boundary block; the V-cycle hierarchy is built on first
     use. It keeps no reference to the mesh, so a cached system dies with it.
     """
 
@@ -584,7 +592,7 @@ class _DirichletSystem:
         Ki = K[self.interior]
         self.Kii = Ki[:, self.interior]
         self.neg_Kib = -Ki[:, self.boundary]
-        self._levels = self._coarse = self._lu = None
+        self._levels = self._coarse = None
 
     def vcycle(self, b: np.ndarray, k: int = 0) -> np.ndarray:
         """One V-cycle from zero: a symmetric positive definite approximate inverse of Kii."""
@@ -598,61 +606,42 @@ class _DirichletSystem:
         x += L.smooth * (b - L.A @ x)
         return x
 
-    def solve(self, rows, config: SolverConfig) -> list:
-        """(values, iterations, residual) for each row of boundary values.
-
-        One or two rows (real data, or the two halves of complex data) run
-        conjugate gradients preconditioned by the V-cycle; more share one
-        sparse LU factor of Kii, as for the kernel probe's arcs. The residual
-        is the relative ||rhs - Kii x|| / ||rhs|| reached.
-        """
-        if len(rows) > 2 and self._lu is None:
-            self._lu = spla.splu(self.Kii.tocsc())
-        out = []
-        for vb in rows:
-            rhs = self.neg_Kib @ vb
-            bnorm = float(np.linalg.norm(rhs))
-            if bnorm == 0.0:
-                x, iters, res = np.zeros_like(rhs), 0, 0.0
-            else:
-                x, iters = (self._lu.solve(rhs), 0) if len(rows) > 2 else self._cg(rhs, config)
-                res = float(np.linalg.norm(rhs - self.Kii @ x) / bnorm)
-            u = np.zeros(self.nv)
-            u[self.boundary] = vb
-            u[self.interior] = x
-            out.append((u, iters, res))
-        return out
+    def solve(self, vb: np.ndarray, config: SolverConfig):
+        """(values, iterations, residual) with the boundary pinned to the real row ``vb``."""
+        x, iters, res = self._cg(self.neg_Kib @ vb, config)
+        u = np.zeros(self.nv)
+        u[self.boundary] = vb
+        u[self.interior] = x
+        return u, iters, res
 
     def _cg(self, rhs: np.ndarray, config: SolverConfig):
+        """Kii x = rhs by V-cycle-preconditioned CG: (x, iterations, ||rhs - Kii x|| / ||rhs||)."""
+        bnorm = float(np.linalg.norm(rhs))
+        if bnorm == 0.0:
+            return np.zeros_like(rhs), 0, 0.0
         n = len(rhs)
         M = spla.LinearOperator((n, n), matvec=self.vcycle, dtype=float)
         count = [0]
         x, info = spla.cg(self.Kii, rhs, rtol=config.linear_tol, atol=0.0,
                           maxiter=config.max_iter, M=M,
                           callback=lambda _: count.__setitem__(0, count[0] + 1))
+        res = float(np.linalg.norm(rhs - self.Kii @ x) / bnorm)
         if info != 0:
-            res = float(np.linalg.norm(rhs - self.Kii @ x) / np.linalg.norm(rhs))
             raise NoConvergence(f"cg stopped at relative residual {res:.3e} "
                                 f"after {count[0]} iterations")
-        return x, count[0]
+        return x, count[0], res
 
 
 # per mesh, per coefficient field; an entry dies with its mesh
 _SYSTEMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _pinned_solves(mesh: TriMesh, A: CoefficientField, rows,
-                   config: SolverConfig) -> list[FemSolution]:
-    """One P1 solution per row of boundary values, all on one mesh and field.
-
-    Boundary nodes are pinned to the row; the mesh's cached ``_DirichletSystem``
-    for A solves the interior (see ``_DirichletSystem.solve``).
-    """
+def _system(mesh: TriMesh, A: CoefficientField) -> _DirichletSystem:
+    """The mesh's cached ``_DirichletSystem`` for A, built on first use."""
     per_mesh = _SYSTEMS.setdefault(mesh, {})
     if A not in per_mesh:
         per_mesh[A] = _DirichletSystem(mesh, A)
-    return [FemSolution(mesh=mesh, values=u, iterations=iters, residual=res)
-            for u, iters, res in per_mesh[A].solve(rows, config)]
+    return per_mesh[A]
 
 
 def solve_dirichlet(problem: DirichletProblem, mesh: TriMesh,
@@ -664,14 +653,15 @@ def solve_dirichlet(problem: DirichletProblem, mesh: TriMesh,
     """
     boundary = mesh.boundary_nodes
     values_b = problem.boundary_values(mesh.vertices[boundary])
+    system = _system(mesh, problem.coefficients)
     if not np.iscomplexobj(values_b):
-        return _pinned_solves(mesh, problem.coefficients, [values_b], config)[0]
-    re, im = _pinned_solves(mesh, problem.coefficients, [values_b.real, values_b.imag],
-                            config)
-    u = re.values + 1j * im.values
+        return FemSolution(mesh, *system.solve(values_b, config))
+    (re, it_re, res_re), (im, it_im, res_im) = (system.solve(part, config)
+                                                for part in (values_b.real, values_b.imag))
+    u = re + 1j * im
     u[boundary] = values_b  # exact data: re + 1j * im turns a -0.0 real part into 0.0
-    return FemSolution(mesh=mesh, values=u, iterations=max(re.iterations, im.iterations),
-                       residual=max(re.residual, im.residual))
+    return FemSolution(mesh=mesh, values=u, iterations=max(it_re, it_im),
+                       residual=max(res_re, res_im))
 
 
 def dmp_offdiagonal_max(mesh: TriMesh) -> float:
@@ -771,46 +761,47 @@ def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
                        arcs_per_face: int = 32, h: float | None = None) -> dict:
     """Per-arc ratios omega(x, arc) / (len * d(x) / dist(x, arc)^2).
 
-    Faces are split into equal arcs (dyadic counts align exactly with the
-    uniformly refined fan, so arc indicators are resolved by mesh nodes);
-    the max ratio is the measured constant of the kernel bound.
+    One adjoint solve gives the discrete Poisson kernel at x: with w the
+    barycentric weights of x on the nodes, every discrete solution has
+    u(x) = mu . u_b for mu = -Kib^T Kii^-1 w_i + w_b (Kii is symmetric), so
+    omega(x, arc) is the sum of mu over the arc's nodes. Faces are split
+    into equal arcs (dyadic counts align exactly with the uniformly refined
+    fan, so arc indicators are resolved by mesh nodes); the max ratio is
+    the measured constant of the kernel bound.
     """
     x = np.asarray(x, dtype=float)
     fs = faces(polygon)
     if h is None:
         h = min(f.measure for f in fs) / (4.0 * arcs_per_face)
     mesh = triangulate(polygon, h)
-    b = mesh.boundary_nodes
-    bpts = mesh.vertices[b]
+    system = _system(mesh, A)
+    found, lam = _locate(mesh, x)
+    w = np.zeros(system.nv)
+    w[mesh.triangles[found]] = lam
+    y, _, _ = system._cg(w[system.interior], SolverConfig())
+    mu = system.neg_Kib.T @ y + w[system.boundary]
+    bpts = mesh.vertices[system.boundary]
     dx = distance_to_boundary(polygon, x)
 
-    arcs = []
-    rows = []
+    ratios = []
     for f in fs:
         va, vb_ = f.vertices
+        tvals = ((bpts - va) @ (vb_ - va)) / float((vb_ - va) @ (vb_ - va))
+        on_face = np.abs(bpts @ f.normal - f.offset) <= 1e-10
         for i in range(arcs_per_face):
             t0, t1 = i / arcs_per_face, (i + 1) / arcs_per_face
             p0 = va + t0 * (vb_ - va)
             p1 = va + t1 * (vb_ - va)
-            arcs.append((f.index, p0, p1))
-            # nodes on this face within [t0, t1): half-open split of the face
-            # half-open [t0, t1) so the arcs partition the boundary nodes
-            # exactly (a shared corner node belongs to the next face's arc 0)
-            tvals = ((bpts - va) @ (vb_ - va)) / float((vb_ - va) @ (vb_ - va))
-            on_face = np.abs(bpts @ f.normal - f.offset) <= 1e-10
+            # nodes on this face within the half-open [t0, t1), so the arcs
+            # partition the boundary nodes exactly (a shared corner node
+            # belongs to the next face's arc 0)
             inside = on_face & (tvals >= t0 - 1e-12) & (tvals < t1 - 1e-12)
-            rows.append(np.where(inside, 1.0, 0.0))
-    sols = _pinned_solves(mesh, A, rows, SolverConfig())
-    found, lam = _locate(mesh, x)
-    tri = mesh.triangles[found]
-    ratios = []
-    for (fi, p0, p1), sol in zip(arcs, sols):
-        omega = float(sol.values[tri] @ lam)
-        ell = float(np.linalg.norm(p1 - p0))
-        seg = p1 - p0
-        t = float(np.clip(((x - p0) @ seg) / (seg @ seg), 0.0, 1.0))
-        dist = float(np.linalg.norm(x - (p0 + t * seg)))
-        ratios.append(omega / (ell * dx / dist ** 2))
+            omega = float(mu[inside].sum())
+            seg = p1 - p0
+            ell = float(np.linalg.norm(seg))
+            t = float(np.clip(((x - p0) @ seg) / (seg @ seg), 0.0, 1.0))
+            dist = float(np.linalg.norm(x - (p0 + t * seg)))
+            ratios.append(omega / (ell * dx / dist ** 2))
     return {"ratios": np.array(ratios), "max_ratio": float(np.max(ratios)),
             "arcs_per_face": arcs_per_face, "h": h}
 

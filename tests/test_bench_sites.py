@@ -36,10 +36,12 @@ def test_traced_solves_record_their_counts():
     with tracer.patched(tr, layers.sites()):
         F.solve_dirichlet(prob, mesh)
         F.harmonic_measure(sq, A, lambda y: y[1] <= 1e-12, np.array([0.5, 0.5]), mesh=mesh)
+        F.kernel_bound_probe(sq, A, np.array([0.3, 0.6]), arcs_per_face=4)
     solves = [e for name, e in tr.events if name == "fem.solve_dirichlet"]
     assert len(solves) == 2
     for e in solves:
         assert e["vertices"] == len(mesh.vertices) and e["iterations"] > 0
     totals = tr.totals()
     assert totals["fem.harmonic_measure"]["calls"] == 1
+    assert totals["fem.kernel_bound_probe"]["calls"] == 1
     assert not any(t["failed"] for t in totals.values())

@@ -165,6 +165,15 @@ def test_unknown_coefficient_type(tmp_path, golden_files):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_solver_config_without_iterations_is_validation_failure(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", {
+        "schema": 1, "polytope": _write(tmp_path / "sq.json",
+                                        G.polytope_to_dict(G.unit_square())),
+        "boundary": {"type": "constant", "value": 1.0}, "h": 0.2, "max_iter": 0})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "error: max_iter must be at least 1" in capsys.readouterr().err
+
+
 def _golden_sweep_config(tmp_path, golden_files):
     poly, gpath = golden_files
     return _write(tmp_path / "c.json", {

@@ -190,20 +190,73 @@ def test_explicit_data_must_be_vectorised():
         prob.boundary_values(np.zeros((5, 2)))
 
 
-def test_cg_and_sparse_lu_solves_agree():
-    # one or two rows go through AMG-preconditioned CG, more share one sparse LU factor
-    mesh = F.triangulate(G.regular_hexagon(), 0.1)
+def test_solver_config_rejects_values_that_skip_or_never_end_cg():
+    for bad in (dict(max_iter=0), dict(max_iter=-3), dict(linear_tol=0.0),
+                dict(linear_tol=-1.0), dict(linear_tol=float("nan"))):
+        with pytest.raises(ValidationError):
+            F.SolverConfig(**bad)
+    F.SolverConfig(linear_tol=1e-30, max_iter=1)  # tiny but valid
+
+
+def _arc_measures(poly, x, kb):
+    """omega(x, arc) recovered from the kernel probe's ratios, in the probe's arc order."""
+    arcs = kb["arcs_per_face"]
+    dx = G.distance_to_boundary(poly, x)
+    out = []
+    for f in G.faces(poly):
+        va, vb = f.vertices
+        for i in range(arcs):
+            p0, p1 = va + i / arcs * (vb - va), va + (i + 1) / arcs * (vb - va)
+            seg = p1 - p0
+            s = float(np.clip((x - p0) @ seg / (seg @ seg), 0.0, 1.0))
+            dist = float(np.linalg.norm(x - (p0 + s * seg)))
+            out.append(kb["ratios"][len(out)] * float(np.linalg.norm(seg)) * dx / dist ** 2)
+    return np.array(out)
+
+
+def test_adjoint_kernel_matches_forward_arc_solves():
+    """Each adjoint arc measure equals a forward solve on the arc's indicator, read at x."""
+    sq = G.unit_square()
     A = F.CoefficientField.constant([[2.0, 0.5], [0.5, 1.0]])
+    arcs, h = 8, 1.0 / 32
+    mesh = F.triangulate(sq, h)
     bpts = mesh.vertices[mesh.boundary_nodes]
-    rows = [np.cos(3.0 * bpts[:, 0]), bpts[:, 0] * bpts[:, 1], np.full(len(bpts), -1.5)]
-    cfg = F.SolverConfig(linear_tol=1e-13)
-    lu_sols = F._pinned_solves(mesh, A, rows, cfg)
-    for row, lu_sol in zip(rows, lu_sols):
-        (cg_sol,) = F._pinned_solves(mesh, A, [row], cfg)
-        assert cg_sol.iterations > 0 and lu_sol.iterations == 0
-        assert np.max(np.abs(lu_sol.values - cg_sol.values)) <= 1e-8
-        assert lu_sol.residual <= 1e-12
-    assert any(s.residual > 0.0 for s in lu_sols)  # measured, not a hard-coded 0
+    # an interior point, and one inside the first cell off the face y = 0,
+    # whose triangle has boundary nodes
+    for x in (np.array([0.37, 0.61]), np.array([0.53, 0.4 * h])):
+        t, lam = F._locate(mesh, x)
+        near_face = np.isin(mesh.triangles[t], mesh.boundary_nodes).any()
+        assert near_face == (x[1] < h) and np.all(lam > 0)
+        forward = []
+        for f in G.faces(sq):
+            va, vb = f.vertices
+            on_face = np.abs(bpts @ f.normal - f.offset) <= 1e-10
+            tv = (bpts - va) @ (vb - va) / float((vb - va) @ (vb - va))
+            for i in range(arcs):
+                inside = on_face & (tv >= i / arcs - 1e-12) & (tv < (i + 1) / arcs - 1e-12)
+                prob = F.DirichletProblem(
+                    polygon=sq, coefficients=A,
+                    explicit_data=lambda pts, m=inside: np.where(m, 1.0, 0.0))
+                sol = F.solve_dirichlet(prob, mesh, F.SolverConfig(linear_tol=1e-13))
+                forward.append(float(F.evaluate_solution(sol, x)))
+        measures = _arc_measures(sq, x, F.kernel_bound_probe(sq, A, x, arcs_per_face=arcs, h=h))
+        assert np.all(np.abs(measures - forward) <= 1e-8 * np.abs(forward))
+        assert abs(measures.sum() - 1.0) <= 1e-9
+
+
+def test_kernel_probe_runs_one_solve(monkeypatch):
+    """perfbench's kernel setting: one CG solve, and arc measures summing to 1."""
+    calls = []
+    cg = F._DirichletSystem._cg
+    monkeypatch.setattr(F._DirichletSystem, "_cg",
+                        lambda self, *a: calls.append(1) or cg(self, *a))
+    gs = G.golden_square()
+    x = G.polygon_vertices(gs).mean(axis=0)
+    arcs = 32
+    h = min(f.measure for f in G.faces(gs)) / arcs
+    kb = F.kernel_bound_probe(gs, I2, x, arcs_per_face=arcs, h=h)
+    assert len(calls) == 1
+    assert abs(_arc_measures(gs, x, kb).sum() - 1.0) <= 1e-9
 
 
 def _einsum_stiffness(mesh, A_field):
@@ -259,7 +312,7 @@ def _golden_system(eps):
 def test_amg_cg_iterations_and_accuracy_on_golden_square(eps):
     mesh, vb = _golden_system(eps)
     system = F._DirichletSystem(mesh, I2)
-    ((u, iters, res),) = system.solve([vb], F.SolverConfig(linear_tol=1e-8))
+    u, iters, res = system.solve(vb, F.SolverConfig(linear_tol=1e-8))
     assert 0 < iters <= 25 and res <= 1e-8
     x = spla.splu(system.Kii.tocsc()).solve(system.neg_Kib @ vb)
     assert np.max(np.abs(u[system.interior] - x)) <= 1e-7 * np.max(np.abs(x))
@@ -279,7 +332,7 @@ def test_vcycle_is_symmetric():
 def test_two_builds_give_bit_identical_solutions():
     mesh, vb = _golden_system(1 / 8)
     cfg = F.SolverConfig(linear_tol=1e-8)
-    (a,), (b,) = (F._DirichletSystem(mesh, I2).solve([vb], cfg) for _ in range(2))
+    a, b = (F._DirichletSystem(mesh, I2).solve(vb, cfg) for _ in range(2))
     assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
 
 
