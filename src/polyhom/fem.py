@@ -767,7 +767,8 @@ def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
     omega(x, arc) is the sum of mu over the arc's nodes. Faces are split
     into equal arcs (dyadic counts align exactly with the uniformly refined
     fan, so arc indicators are resolved by mesh nodes); the max ratio is
-    the measured constant of the kernel bound.
+    the measured constant of the kernel bound. ``iterations`` and
+    ``residual`` are those of the adjoint CG solve.
     """
     x = np.asarray(x, dtype=float)
     fs = faces(polygon)
@@ -778,7 +779,7 @@ def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
     found, lam = _locate(mesh, x)
     w = np.zeros(system.nv)
     w[mesh.triangles[found]] = lam
-    y, _, _ = system._cg(w[system.interior], SolverConfig())
+    y, iterations, residual = system._cg(w[system.interior], SolverConfig())
     mu = system.neg_Kib.T @ y + w[system.boundary]
     bpts = mesh.vertices[system.boundary]
     dx = distance_to_boundary(polygon, x)
@@ -803,7 +804,8 @@ def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
             dist = float(np.linalg.norm(x - (p0 + t * seg)))
             ratios.append(omega / (ell * dx / dist ** 2))
     return {"ratios": np.array(ratios), "max_ratio": float(np.max(ratios)),
-            "arcs_per_face": arcs_per_face, "h": h}
+            "arcs_per_face": arcs_per_face, "h": h,
+            "iterations": iterations, "residual": residual}
 
 
 def sector_polygon(omega: float, arc_segments: int = 64) -> ConvexPolytope:

@@ -15,6 +15,8 @@ are expected pre-scaled to diameter O(1).
 from __future__ import annotations
 
 import json
+import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -157,6 +159,9 @@ class DiophantineCert:
 
     c_lower > 0 certifies no integer vector up to the searched bound
     annihilates nu; c_lower = 0 reports a rational-direction hit at worst_m.
+    The search covers the half ball whose first nonzero coordinate is
+    negative (-m gives the same value), so worst_m is the lexicographically
+    first minimiser and its first nonzero coordinate is negative.
     """
 
     tau: float
@@ -612,45 +617,76 @@ def max_adjacent_angle(poly: ConvexPolytope) -> dict:
 # Diophantine certification
 # ---------------------------------------------------------------------------
 
-def _l1_ball_blocks(d: int, bound: int, block: int = 512):
-    """Yield integer-vector blocks covering 0 < |m|_1 <= bound."""
-    rng = np.arange(-bound, bound + 1)
-    if d == 2:
-        for start in range(0, rng.size, block):
-            m1 = rng[start:start + block]
-            M1, M2 = np.meshgrid(m1, rng, indexing="ij")
-            yield np.column_stack([M1.ravel(), M2.ravel()])
-    elif d == 3:
-        for m1 in rng:
-            M2, M3 = np.meshgrid(rng, rng, indexing="ij")
-            M1 = np.full(M2.size, m1)
-            yield np.column_stack([M1, M2.ravel(), M3.ravel()])
-    else:
-        if (2 * bound + 1) ** d > 20_000_000:
-            raise ValidationError(f"lattice search too large for d = {d}, bound = {bound}")
-        grids = np.meshgrid(*([rng] * d), indexing="ij")
-        yield np.column_stack([g.ravel() for g in grids])
+_SEARCH_BUDGET = 20_000_000  # vectors of the searched half ball
+
+
+def _half_ball_size(d: int, bound: int) -> int:
+    """Integer vectors m != 0 in d dimensions with |m|_1 <= bound, one per +-m pair."""
+    return (sum(2 ** k * math.comb(d, k) * math.comb(bound, k) for k in range(d + 1)) - 1) // 2
+
+
+def _extend(prefix, budget, ends, zero, t):
+    """Rows t of the prefixes, each extended by one more coordinate c.
+
+    Prefix i owns the rows below ends[i] from ends[i - 1] on, and zero[i] is
+    its row with c = 0; also returns the l1 budget each row has left.
+    """
+    i = np.searchsorted(ends, t, side="right")
+    c = t - zero[i]
+    return np.column_stack([prefix[i], c]), budget[i] - np.abs(c)
+
+
+def _l1_half_ball_blocks(d: int, bound: int, block: int = 8192):
+    """Yield (m, |m|_1) blocks of at most ``block`` rows, in lexicographic order.
+
+    Covers the m != 0 with |m|_1 <= bound whose first nonzero coordinate is
+    negative, one of each +-m pair. Coordinates are added one at a time: a
+    prefix with l1 budget r takes the next one from [-r, r], or from [-r, 0]
+    while it is all zero ([-r, -1] for the last coordinate, excluding m = 0).
+    """
+    prefix = np.zeros((1, 0))  # float rows: M @ nu then needs no cast copy
+    budget = np.array([bound])
+    for k in range(1, d + 1):
+        # coordinate k runs over [-budget, hi]
+        hi = np.where(prefix.any(axis=1), budget, 0 if k < d else -1)
+        ends = np.cumsum(hi + budget + 1)
+        zero = ends - hi - 1
+        if k < d:
+            prefix, budget = _extend(prefix, budget, ends, zero, np.arange(ends[-1]))
+    for start in range(0, int(ends[-1]), block):
+        m, left = _extend(prefix, budget, ends, zero, np.arange(start, min(start + block, ends[-1])))
+        yield m, bound - left
 
 
 def diophantine_check(nu, tau: float, bound: int) -> DiophantineCert:
-    """Exhaustive search of min |m . nu| |m|_1^tau over 0 < |m|_1 <= bound."""
+    """Exhaustive search of min |m . nu| |m|_1^tau over 0 < |m|_1 <= bound.
+
+    Since -m gives the same value, only the half ball whose first nonzero
+    coordinate is negative is searched, in lexicographic order; worst_m is the
+    lexicographically first minimiser. A search of more than 20M vectors
+    (d = 3 beyond bound 310) raises ValidationError before enumerating any.
+    """
     nu = np.asarray(nu, dtype=float)
-    if abs(np.linalg.norm(nu) - 1.0) > 1e-10:
-        raise BadNormal("nu must be a unit vector")
-    if tau <= 0:
-        raise ValidationError("tau must be positive")
+    if nu.ndim != 1 or not np.isfinite(nu).all() or abs(np.linalg.norm(nu) - 1.0) > 1e-10:
+        raise BadNormal("nu must be a finite unit vector")
+    if not 0 < tau < np.inf:  # also rejects nan
+        raise ValidationError("tau must be positive and finite")
+    try:
+        bound = operator.index(bound)
+    except TypeError:
+        raise ValidationError(f"bound must be an integer, got {bound!r}") from None
     if bound < 1:
         raise ValidationError("bound must be >= 1")
+    # |m . nu| |m|_1^tau <= bound^(tau + 1) must stay finite: an overflow
+    # would turn an exact zero into 0 * inf = nan and hide it from argmin
+    if (tau + 1.0) * math.log(bound) > 700.0:
+        raise ValidationError(f"tau = {tau!r} is too large for bound = {bound}")
     d = nu.size
+    if _half_ball_size(d, bound) > _SEARCH_BUDGET:
+        raise ValidationError(f"lattice search too large for d = {d}, bound = {bound}")
     best_val = np.inf
     best_m = None
-    for M in _l1_ball_blocks(d, bound):
-        l1 = np.abs(M).sum(axis=1)
-        mask = (l1 > 0) & (l1 <= bound)
-        if not mask.any():
-            continue
-        M = M[mask]
-        l1 = l1[mask]
+    for M, l1 in _l1_half_ball_blocks(d, bound):
         vals = np.abs(M @ nu) * l1.astype(float) ** tau
         i = int(np.argmin(vals))
         if vals[i] < best_val:

@@ -9,9 +9,12 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
 from polyhom import fem as F
 from polyhom import geometry as G
+from polyhom import harness as H
+from polyhom.errors import NonDiophantineWarning
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -44,4 +47,18 @@ def test_traced_solves_record_their_counts():
     totals = tr.totals()
     assert totals["fem.harmonic_measure"]["calls"] == 1
     assert totals["fem.kernel_bound_probe"]["calls"] == 1
+    assert not any(t["failed"] for t in totals.values())
+
+
+def test_traced_diophantine_checks_record_both_sites():
+    # harness looks diophantine_check up under its own name, geometry's
+    # callers under geometry's: four face checks plus one direct call
+    tr = tracer.Tracer()
+    with tracer.patched(tr, layers.sites()):
+        with pytest.warns(NonDiophantineWarning):
+            assert len(H.diophantine_warnings(G.unit_square(), 1.0, 10)) == 4
+        G.diophantine_check(np.array([0.6, 0.8]), 1.0, 10)
+    totals = tr.totals()
+    assert totals["geometry.diophantine_check"]["calls"] == 5
+    assert tr.counts["geometry.diophantine_check.vectors"] == 5 * layers.l1_ball_size(2, 10)
     assert not any(t["failed"] for t in totals.values())

@@ -45,6 +45,13 @@ def test_dioph_mode(tmp_path, capsys):
     assert {f["path"] for f in man["files"]} == {"dioph.json"}
 
 
+def test_dioph_mode_zero_normal_is_validation_failure(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", {"schema": 1, "nu": [0, 0], "tau": 1.0, "bound": 10})
+    assert main(["dioph", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unit vector" in err
+
+
 def test_missing_config_is_validation_failure(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 1

@@ -618,6 +618,12 @@ def test_kernel_bound_probe_stable_under_arc_refinement():
     assert r32["max_ratio"] == pytest.approx(r16["max_ratio"], rel=0.25)
 
 
+def test_kernel_bound_probe_reports_its_solve():
+    kb = F.kernel_bound_probe(G.unit_square(), I2, np.array([0.3, 0.6]), arcs_per_face=8)
+    assert kb["iterations"] >= 1
+    assert kb["residual"] <= 1e-10
+
+
 def test_kernel_bound_probe_operator_dependence():
     sq = G.unit_square()
     x = np.array([0.5, 0.5])

@@ -1,4 +1,6 @@
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from polyhom.errors import (
     RenormalizedNormalWarning,
     Unbounded,
     UnsupportedDimension,
+    ValidationError,
     ZeroNormalComponent,
 )
 from conftest import random_convex_polygon, random_convex_polytope_3d
@@ -218,13 +221,13 @@ def test_max_adjacent_angle_rotation_invariant(rng):
 def test_diophantine_rational_axis():
     cert = G.diophantine_check(np.array([1.0, 0.0]), tau=1.0, bound=1)
     assert cert.c_lower == 0.0
-    assert cert.worst_m in ((0, 1), (0, -1))
+    assert cert.worst_m == (0, -1)
 
 
 def test_diophantine_diagonal():
     cert = G.diophantine_check(np.array([1.0, 1.0]) / SQRT2, tau=1.0, bound=2)
     assert cert.c_lower == 0.0
-    assert cert.worst_m in ((1, -1), (-1, 1))
+    assert cert.worst_m == (-1, 1)
 
 
 def test_diophantine_golden_direction():
@@ -251,6 +254,95 @@ def test_diophantine_monotone_in_bound(tau, bound, seed):
     small = G.diophantine_check(nu, tau, bound)
     large = G.diophantine_check(nu, tau, bound + rng.integers(1, 20))
     assert large.c_lower <= small.c_lower + 1e-15
+
+
+def _full_ball(d, bound):
+    """Every m != 0 with |m|_1 <= bound, in lexicographic order."""
+    return np.array([m for m in itertools.product(range(-bound, bound + 1), repeat=d)
+                     if 0 < sum(map(abs, m)) <= bound], dtype=float).reshape(-1, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_diophantine_matches_full_ball_oracle(data):
+    d = data.draw(st.integers(1, 4))
+    bound = data.draw(st.integers(1, {1: 40, 2: 12, 3: 6, 4: 4}[d]))
+    tau = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+    if data.draw(st.booleans()):   # rational direction
+        nu = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), float)
+        if not nu.any():
+            nu[0] = 1.0
+    else:
+        nu = np.random.default_rng(data.draw(st.integers(0, 10**6))).standard_normal(d)
+    nu /= np.linalg.norm(nu)
+    ball = _full_ball(d, bound)
+    vals = np.abs(ball @ nu) * np.abs(ball).sum(axis=1) ** tau
+    first = int(np.argmin(vals))   # the lexicographically first minimiser
+    cert = G.diophantine_check(nu, tau, bound)
+    assert cert.c_lower == (0.0 if vals[first] <= 1e-12 else vals[first])
+    assert cert.worst_m == tuple(int(v) for v in ball[first])
+    assert next(v for v in cert.worst_m if v) < 0
+
+
+@pytest.mark.parametrize("d,bound,block", [(1, 9, 4), (2, 5, 7), (3, 4, 13), (4, 3, 64), (3, 6, 8192)])
+def test_half_ball_blocks_list_the_negative_half_in_order(d, bound, block):
+    blocks = list(G._l1_half_ball_blocks(d, bound, block=block))
+    assert all(len(m) <= block for m, _ in blocks)
+    M = np.concatenate([m for m, _ in blocks])
+    ball = _full_ball(d, bound)
+    half = ball[[next(v for v in m if v) < 0 for m in ball]]
+    np.testing.assert_array_equal(M, half)
+    np.testing.assert_array_equal(np.concatenate([l1 for _, l1 in blocks]), np.abs(half).sum(axis=1))
+    assert len(M) == G._half_ball_size(d, bound)
+
+
+def test_diophantine_search_memory_is_bounded():
+    nu = np.array([1.0, 2.0 ** 0.5, 3.0 ** 0.5]) / 6.0 ** 0.5
+    G.diophantine_check(nu, 2.0, 60)
+    tracemalloc.start()
+    try:
+        G.diophantine_check(nu, 2.0, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3e6
+
+
+@pytest.mark.parametrize("d,bound", [(2, 4472), (3, 311), (4, 88), (3, 10**9)])
+def test_diophantine_over_budget_raises_before_enumerating(d, bound, monkeypatch):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("the over-budget search was enumerated")
+
+    monkeypatch.setattr(G, "_l1_half_ball_blocks", enumerate_nothing)
+    nu = np.ones(d) / np.sqrt(d)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="lattice search too large"):
+            G.diophantine_check(nu, 1.0, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
+
+
+def test_diophantine_largest_bound_within_budget_is_searched():
+    for d, largest in ((2, 4471), (3, 310), (4, 87)):
+        assert G._half_ball_size(d, largest) <= 20_000_000 < G._half_ball_size(d, largest + 1)
+    assert G.diophantine_check(np.array([0.6, 0.8]), 1.0, 4471).c_lower == 0.0
+
+
+@pytest.mark.parametrize("nu", [[np.nan, 1.0], [np.inf, 0.0], [0.0, 0.0], [[0.6, 0.8]]])
+def test_diophantine_rejects_bad_normal(nu):
+    with pytest.raises(BadNormal):
+        G.diophantine_check(np.array(nu), 1.0, 10)
+
+
+@pytest.mark.parametrize("tau,bound", [(np.nan, 10), (np.inf, 10), (0.0, 10), (-1.0, 10),
+                                       (1.0, 2.5), (1.0, 0), (1.0, "10"), (2000.0, 2),
+                                       (1100.0, 10)])
+def test_diophantine_rejects_bad_tau_or_bound(tau, bound):
+    with pytest.raises(ValidationError):
+        G.diophantine_check(np.array([0.6, 0.8]), tau, bound)
 
 
 # -- strips --------------------------------------------------------------------
