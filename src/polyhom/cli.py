@@ -82,7 +82,7 @@ def _write_gnuplot_script(path: str, dat_name: str, labels) -> None:
 def _mode_dioph(cfg, out, base):
     nu = np.asarray(cfg["nu"], dtype=float)
     nu = nu / np.linalg.norm(nu)
-    cert = geometry.diophantine_check(nu, float(cfg["tau"]), int(cfg["bound"]))
+    cert = geometry.diophantine_check(nu, float(cfg["tau"]), cfg["bound"])
     path = os.path.join(out, "dioph.json")
     _write_json(path, {"schema": SCHEMA, "nu": [float(v) for v in nu],
                        "tau": cert.tau, "bound": cert.searched_bound,
@@ -138,7 +138,7 @@ def _mode_equi(cfg, out, base):
     g = periodic.load_periodic(_require_file(_resolve(base, cfg["periodic"]), "periodic data"))
     lambdas = [float(v) for v in cfg["lambdas"]]
     harness.diophantine_warnings(poly, float(cfg.get("dioph_tau", 1.0)),
-                                 int(cfg.get("dioph_bound", 200)))
+                                 cfg.get("dioph_bound", 200))
     rows = []
     for lam in lambdas:
         ba = oscillatory.boundary_average(poly, g, lam)
@@ -225,7 +225,7 @@ def _mode_sweep(cfg, out, base):
         solver=fem.SolverConfig(linear_tol=float(cfg.get("linear_tol", 1e-8)),
                                 max_iter=int(cfg.get("max_iter", 200_000))),
         dioph_tau=float(cfg.get("dioph_tau", 1.0)),
-        dioph_bound=int(cfg.get("dioph_bound", 200)))
+        dioph_bound=cfg.get("dioph_bound", 200))
     result = harness.run_sweep(poly, A, g, config, progress=_progress_line)
     alpha_star = float(cfg.get("alpha_star", geometry.max_adjacent_angle(poly)["alpha_star"]))
     rate_report = harness.build_rate_report(result, alpha_star)

@@ -92,7 +92,3 @@ class RenormalizedNormalWarning(UserWarning):
 
 class NonDiophantineWarning(UserWarning):
     """A face normal failed Diophantine certification (rational hit)."""
-
-
-class SmoothnessWarning(UserWarning):
-    """Declared smoothness is below the decay threshold for the target rate."""

@@ -331,27 +331,15 @@ def write_mesh(path, mesh: TriMesh) -> None:
             f.write(f"{a} {b} {face}\n")
 
 
-def read_mesh(path) -> TriMesh:
-    with open(path) as f:
-        nv, nt, nb = (int(s) for s in f.readline().split())
-        vertices = np.array([[float(s) for s in f.readline().split()] for _ in range(nv)])
-        triangles = np.array([[int(s) for s in f.readline().split()] for _ in range(nt)],
-                             dtype=np.int64)
-        bedges = np.array([[int(s) for s in f.readline().split()] for _ in range(nb)],
-                          dtype=np.int64)
-    return TriMesh(vertices=vertices, triangles=triangles, boundary_edges=bedges)
-
-
 # ---------------------------------------------------------------------------
 # coefficients and problems
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """x -> symmetric 2x2 matrix A(x) with declared ellipticity constant c."""
+    """x -> symmetric 2x2 matrix A(x)."""
 
     evaluator: object
-    ellipticity: float = 1.0
 
     @classmethod
     def identity(cls) -> "CoefficientField":
@@ -365,8 +353,7 @@ class CoefficientField:
         w = np.linalg.eigvalsh(A)
         if w[0] <= 0:
             raise ValidationError("coefficient matrix must be positive definite")
-        c = float(max(w[1], 1.0 / w[0]))
-        return cls(evaluator=A.copy(), ellipticity=c)
+        return cls(evaluator=A.copy())
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
@@ -377,17 +364,6 @@ class CoefficientField:
             raise ValidationError(f"a coefficient evaluator must map (n, 2) points to shape "
                                   f"({len(points)}, 2, 2), got shape {out.shape}")
         return out
-
-
-def validate_coefficients(field: CoefficientField, points) -> None:
-    """Spot-check symmetry (exact) and eigenvalue bounds on sample points."""
-    A = field.evaluate_many(np.atleast_2d(points))
-    if np.any(A[:, 0, 1] != A[:, 1, 0]):
-        raise NonSymmetricCoefficients("A(x) is not symmetric at a sample point")
-    w = np.linalg.eigvalsh(A)
-    c = field.ellipticity
-    if np.any(w[:, 0] < 1.0 / c - 1e-12) or np.any(w[:, 1] > c + 1e-12):
-        raise ValidationError("eigenvalues escape the declared ellipticity interval")
 
 
 @dataclass(frozen=True, eq=False)
@@ -662,14 +638,6 @@ def solve_dirichlet(problem: DirichletProblem, mesh: TriMesh,
     u[boundary] = values_b  # exact data: re + 1j * im turns a -0.0 real part into 0.0
     return FemSolution(mesh=mesh, values=u, iterations=max(it_re, it_im),
                        residual=max(res_re, res_im))
-
-
-def dmp_offdiagonal_max(mesh: TriMesh) -> float:
-    """Largest off-diagonal stiffness entry for A = I (<= 0 gives an M-matrix)."""
-    K = _assemble(mesh, CoefficientField.identity())
-    coo = K.tocoo()
-    off = coo.data[coo.row != coo.col]
-    return float(off.max()) if off.size else 0.0
 
 
 # ---------------------------------------------------------------------------

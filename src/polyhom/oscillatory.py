@@ -7,9 +7,8 @@ explicit Jacobian 1/|nu_k| and phase exp(2 pi i lambda c m_k / nu_k).
 The adaptive tensor quadrature below validates that derivation numerically;
 decay envelopes record how fast the integrals fall with lambda for
 Diophantine normals, and face/boundary averages measure equidistribution of
-lambda-dilated boundary data with exact integrals only: segment sinc factors
-for d = 2; closed-form patches on lattice cells plus divergence-theorem edge
-sums on the leftover pieces for d = 3.
+lambda-dilated boundary data with exact integrals of whole faces: segment
+sinc factors for d = 2, one divergence-theorem edge sum per face for d = 3.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ from .errors import (
     ValidationError,
     ZeroNormalComponent,
 )
-from .geometry import (ConvexPolytope, Face, _readonly, faces, hyperplane_lift,
-                       lattice_partition)
+from .geometry import ConvexPolytope, Face, _readonly, faces, hyperplane_lift
+# unused here; kept importable because perfbench/layers.py wraps it under this module
+from .geometry import lattice_partition  # noqa: F401
 
 _SMALL_PHASE = 1e-13
 _TAYLOR_PHASE = 1e-3
@@ -304,37 +304,21 @@ def _polygon_integral_taylor(rel: np.ndarray, nu: np.ndarray, kt: np.ndarray) ->
 
 
 def face_average(face: Face, g, lam: float) -> complex:
-    """Average of g(lam y) over one face.
+    """Average of g(lam y) over one face, from exact per-frequency integrals.
 
-    d = 2 faces are a single segment and use exact per-frequency integrals;
-    d = 3 faces are covered by lattice-partition cells (closed-form patch
-    integrals) plus the leftover pieces (exact edge sums).
+    A d = 2 face is a segment (a sinc factor per frequency); a d = 3 face is
+    a planar convex polygon (one edge sum per frequency, `_polygon_integral`).
     """
-    if face.dim == 2:
-        p, q = face.vertices
-        total = 0.0 + 0.0j
-        for m, cm in sorted(g.coefficients.items()):
-            total += cm * _segment_integral(p, q, lam, np.asarray(m, dtype=float))
-        return complex(total / face.measure)
-    if face.dim != 3:
+    if face.dim not in (2, 3):
         raise UnsupportedDimension("face averages implemented for d = 2, 3")
-
-    nu = face.normal
-    axis = int(np.argmax(np.abs(nu)))
-    part = lattice_partition(face, axis, max(np.ptp(face.vertices, axis=0)) / 8.0)
-    others = [j for j in range(3) if j != axis]
     total = 0.0 + 0.0j
     for m, cm in sorted(g.coefficients.items()):
         mv = np.asarray(m, dtype=float)
-        contrib = 0.0 + 0.0j
-        for cell in part.cells:
-            u = cell.vertices[:, others]
-            bounds = np.stack([u.min(axis=0), u.max(axis=0)], axis=1)
-            patch = FacePatch(normal=nu, offset=face.offset, axis=axis, bounds=bounds)
-            contrib += patch_integral_closed_form(patch, lam, m).value
-        for piece in part.leftover.pieces:
-            contrib += _polygon_integral(piece, nu, lam, mv)
-        total += cm * contrib
+        if face.dim == 2:
+            p, q = face.vertices
+            total += cm * _segment_integral(p, q, lam, mv)
+        else:
+            total += cm * _polygon_integral(face.vertices, face.normal, lam, mv)
     return complex(total / face.measure)
 
 

@@ -2,19 +2,16 @@
 
 A PeriodicFunction stores a finite map from integer frequency vectors m to
 complex coefficients c_m and evaluates g(x) = sum c_m exp(2 pi i m . x).
-Finite sums are infinitely smooth, so the smoothness thresholds below act as
-warnings for externally declared regularity only.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SmoothnessWarning, ValidationError
+from .errors import DimensionMismatch, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,13 +21,12 @@ class PeriodicFunction:
     dim: int
     coefficients: dict  # tuple[int, ...] -> complex
     real_valued: bool
-    declared_smoothness: float | None = None
 
     def __call__(self, x):
         return evaluate(self, x)
 
 
-def from_coefficients(dim: int, entries, declared_smoothness: float | None = None) -> PeriodicFunction:
+def from_coefficients(dim: int, entries) -> PeriodicFunction:
     """Build a PeriodicFunction from (m, c_m) pairs or a {m: c_m} mapping.
 
     The real-valued flag is set iff the stored support is Hermitian,
@@ -56,8 +52,7 @@ def from_coefficients(dim: int, entries, declared_smoothness: float | None = Non
                                                       np.conj(c), rtol=0, atol=1e-15)
         for m, c in coeffs.items()
     )
-    return PeriodicFunction(dim=dim, coefficients=coeffs, real_valued=bool(hermitian),
-                            declared_smoothness=declared_smoothness)
+    return PeriodicFunction(dim=dim, coefficients=coeffs, real_valued=bool(hermitian))
 
 
 def mean(g: PeriodicFunction) -> complex:
@@ -81,31 +76,6 @@ def evaluate(g: PeriodicFunction, x):
     return out[0] if single else out.reshape(x.shape[:-1])
 
 
-def smoothness_threshold(d: int, tau: float) -> float:
-    """(d-1)/2 + (d-1) tau: the decay order used by the pointwise rate argument."""
-    if tau <= 0:
-        raise ValidationError("tau must be positive")
-    return (d - 1) / 2.0 + (d - 1) * tau
-
-
-def conservative_smoothness_threshold(d: int, tau: float) -> float:
-    """d/2 + (d-1) tau: the larger of the two orders quoted for coefficient sums."""
-    if tau <= 0:
-        raise ValidationError("tau must be positive")
-    return d / 2.0 + (d - 1) * tau
-
-
-def check_declared_smoothness(g: PeriodicFunction, tau: float) -> None:
-    """Warn when a declared smoothness sits below the conservative threshold."""
-    if g.declared_smoothness is None:
-        return
-    needed = conservative_smoothness_threshold(g.dim, tau)
-    if g.declared_smoothness <= needed:
-        warnings.warn(
-            f"declared smoothness {g.declared_smoothness} is not above the "
-            f"threshold {needed} for tau = {tau}", SmoothnessWarning, stacklevel=2)
-
-
 def load_periodic(source) -> PeriodicFunction:
     """Read {"dim": d, "coeffs": [{"m": [..], "re": a, "im": b}, ...]}."""
     if isinstance(source, dict):
@@ -118,13 +88,10 @@ def load_periodic(source) -> PeriodicFunction:
     d = int(doc["dim"])
     entries = [(tuple(int(v) for v in e["m"]), complex(float(e.get("re", 0.0)), float(e.get("im", 0.0))))
                for e in doc["coeffs"]]
-    return from_coefficients(d, entries, doc.get("declared_smoothness"))
+    return from_coefficients(d, entries)
 
 
 def periodic_to_dict(g: PeriodicFunction) -> dict:
     coeffs = [{"m": list(m), "re": c.real, "im": c.imag}
               for m, c in sorted(g.coefficients.items())]
-    doc = {"dim": g.dim, "coeffs": coeffs}
-    if g.declared_smoothness is not None:
-        doc["declared_smoothness"] = g.declared_smoothness
-    return doc
+    return {"dim": g.dim, "coeffs": coeffs}

@@ -14,6 +14,8 @@ import pytest
 from polyhom import fem as F
 from polyhom import geometry as G
 from polyhom import harness as H
+from polyhom import oscillatory as O
+from polyhom import periodic as P
 from polyhom.errors import NonDiophantineWarning
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
@@ -61,4 +63,19 @@ def test_traced_diophantine_checks_record_both_sites():
     totals = tr.totals()
     assert totals["geometry.diophantine_check"]["calls"] == 5
     assert tr.counts["geometry.diophantine_check.vectors"] == 5 * layers.l1_ball_size(2, 10)
+    assert not any(t["failed"] for t in totals.values())
+
+
+def test_traced_boundary_average_integrates_whole_faces():
+    # one face_average per cube face, none through the lattice partition
+    q, _ = np.linalg.qr(np.random.default_rng(2013).standard_normal((3, 3)))
+    cube = G.build_polytope([G.HalfSpace(q @ h.normal, h.offset)
+                             for h in G.unit_cube().halfspaces])
+    g = P.from_coefficients(3, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5, (0, 1, 1): 0.25j})
+    tr = tracer.Tracer()
+    with tracer.patched(tr, layers.sites()):
+        O.boundary_average(cube, g, 100.0)
+    totals = tr.totals()
+    assert totals["oscillatory.face_average"]["calls"] == 6
+    assert "geometry.lattice_partition" not in totals
     assert not any(t["failed"] for t in totals.values())

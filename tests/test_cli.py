@@ -52,6 +52,18 @@ def test_dioph_mode_zero_normal_is_validation_failure(tmp_path, capsys):
     assert err.startswith("error:") and "unit vector" in err
 
 
+@pytest.mark.parametrize("mode, key", [("dioph", "bound"), ("equi", "dioph_bound"),
+                                       ("sweep", "dioph_bound")])
+def test_non_integer_bound_is_validation_failure(tmp_path, capsys, golden_files, mode, key):
+    poly, gpath = golden_files
+    doc = {"dioph": {"nu": [1.0, G.GOLDEN_RATIO], "tau": 1.0},
+           "equi": {"polytope": poly, "periodic": gpath, "lambdas": [10.0]},
+           "sweep": {"polytope": poly, "periodic": gpath, "epsilons": [0.5], "eta": 2.0}}[mode]
+    cfg = _write(tmp_path / "c.json", {"schema": 1, key: 2.5, **doc})
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "bound must be an integer" in capsys.readouterr().err
+
+
 def test_missing_config_is_validation_failure(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 1

@@ -296,11 +296,14 @@ def test_face_average_3d_leftover_matches_box_closed_form():
 
 
 def test_partition_pieces_sum_to_whole_face_edge_sum(rng):
+    # the paper's split into lattice cells plus leftover pieces is an
+    # independent reference for face_average's whole-face edge sum
     for _ in range(10):
         for f in G.faces(random_convex_polytope_3d(rng)):
             part = _default_partition(f)
             others = [j for j in range(3) if j != part.axis]
             m = rng.integers(-2, 3, size=3)
+            g = P.from_coefficients(3, {tuple(m): 1.0})
             for lam in (1.0, 7.3, 50.0):
                 pieces = sum(O._polygon_integral(q, f.normal, lam, m.astype(float))
                              for q in part.leftover.pieces)
@@ -311,6 +314,7 @@ def test_partition_pieces_sum_to_whole_face_edge_sum(rng):
                     pieces += O.patch_integral_closed_form(patch, lam, m).value
                 whole = O._polygon_integral(f.vertices, f.normal, lam, m.astype(float))
                 assert abs(pieces - whole) < 1e-12
+                assert abs(O.face_average(f, g, lam) * f.measure - pieces) < 1e-12
 
 
 def test_face_average_3d_in_plane_frequency_zero():

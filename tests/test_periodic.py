@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyhom import periodic as P
-from polyhom.errors import DimensionMismatch, SmoothnessWarning
+from polyhom.errors import DimensionMismatch
 
 
 def _cosine():
@@ -74,21 +74,6 @@ def test_parseval_on_tensor_grid(rng):
     assert abs(power - coeff_power) < 1e-8
 
 
-def test_smoothness_thresholds():
-    assert P.smoothness_threshold(2, 1.0) == pytest.approx(1.5)
-    assert P.smoothness_threshold(3, 2.0) == pytest.approx(5.0)
-    assert P.conservative_smoothness_threshold(2, 1.0) == pytest.approx(2.0)
-    assert P.conservative_smoothness_threshold(3, 2.0) == pytest.approx(5.5)
-
-
-def test_smoothness_warning_only_below_threshold():
-    low = P.from_coefficients(2, {(1, 0): 1.0}, declared_smoothness=1.0)
-    with pytest.warns(SmoothnessWarning):
-        P.check_declared_smoothness(low, tau=1.0)
-    high = P.from_coefficients(2, {(1, 0): 1.0}, declared_smoothness=10.0)
-    P.check_declared_smoothness(high, tau=1.0)  # no warning
-
-
 def test_json_roundtrip(tmp_path):
     g = P.from_coefficients(2, {(1, 0): 0.5 - 0.25j, (-1, 0): 0.5 + 0.25j, 0: 2.0})
     path = tmp_path / "g.json"
@@ -96,6 +81,9 @@ def test_json_roundtrip(tmp_path):
     back = P.load_periodic(path)
     assert back.coefficients == g.coefficients
     assert back.real_valued == g.real_valued
+    # keys that are not read, such as an old "declared_smoothness", are ignored
+    extra = P.load_periodic({**P.periodic_to_dict(g), "declared_smoothness": 1.0})
+    assert extra.coefficients == g.coefficients
 
 
 @settings(max_examples=40, deadline=None)
