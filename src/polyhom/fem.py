@@ -7,10 +7,12 @@ triangles and boundary edges are numbered in closed form, and each bisection
 pass marks, closes and splits every edge at once, so a mesh costs a fixed
 number of numpy passes rather than a Python step per node or triangle.
 The solver assembles the stiffness of -div(A grad u) in closed form with
-one-point coefficient quadrature at barycenters, pins Dirichlet nodes, and
-runs conjugate gradients preconditioned by a smoothed-aggregation algebraic
-multigrid V-cycle; the assembled system is cached per mesh and coefficient
-field, so repeated solves on one mesh set up once. Probes built on top estimate
+one-point coefficient quadrature at barycenters, summed on the mesh's one
+edge table (shared with validation) and leaving out roundoff entries
+(|k_uv| <= _ROUNDOFF sqrt(k_uu k_vv), _ROUNDOFF = 1e-12), pins Dirichlet
+nodes, and runs conjugate gradients preconditioned by a smoothed-aggregation
+algebraic multigrid V-cycle; the assembled system is cached per mesh and
+coefficient field, so repeated solves on one mesh set up once. Probes built on top estimate
 harmonic measures of boundary arcs, pointwise Poisson-kernel bounds (from one
 adjoint solve), and corner exponents of solutions vanishing on the faces
 incident to a vertex.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,7 +56,7 @@ class TriMesh:
 
     ``boundary_edges`` rows are (a, b, face_index); all triangles are
     counterclockwise. The arrays are made read-only, because solves cache
-    the assembled system per mesh object.
+    the assembled system per mesh object; so are the cached derived arrays.
     """
 
     vertices: np.ndarray       # (nv, 2)
@@ -64,21 +67,34 @@ class TriMesh:
         for a in (self.vertices, self.triangles, self.boundary_edges):
             a.setflags(write=False)
 
-    @property
+    @cached_property
     def boundary_nodes(self) -> np.ndarray:
-        return np.unique(self.boundary_edges[:, :2])
+        return _frozen(np.unique(self.boundary_edges[:, :2]))
 
-    @property
+    @cached_property
     def areas(self) -> np.ndarray:
         p = np.take(self.vertices, self.triangles, axis=0)
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        return _frozen(0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                              - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])))
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge table: sorted edge keys min * nv + max, and the int32 edge
+        index of every triangle side in ``_edge_keys`` order."""
+        keys, side_edge = np.unique(_edge_keys(self.triangles, len(self.vertices)),
+                                    return_inverse=True)
+        return _frozen(keys), _frozen(side_edge.astype(np.int32))
 
     @property
     def max_edge(self) -> float:
         p = self.vertices[self.triangles]
         e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
         return float(np.sqrt((e ** 2).sum(-1)).max())
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _edge_keys(tri: np.ndarray, nv: int) -> np.ndarray:
@@ -89,19 +105,17 @@ def _edge_keys(tri: np.ndarray, nv: int) -> np.ndarray:
 
 
 def _validate_mesh(mesh: TriMesh, polygon: ConvexPolytope) -> None:
-    areas = mesh.areas
-    if np.any(areas <= 0):
+    if np.any(mesh.areas <= 0):
         raise ValidationError("mesh has non-positive triangle areas")
-    nv = len(mesh.vertices)
-    keys = _edge_keys(mesh.triangles, nv)
-    uniq, counts = np.unique(keys, return_counts=True)
+    keys, side_edge = mesh.edges
+    counts = np.bincount(side_edge, minlength=len(keys))
     if counts.max() > 2:
         raise ValidationError("non-conforming mesh: edge shared by more than two triangles")
-    boundary_keys = set(uniq[counts == 1].tolist())
     be = mesh.boundary_edges
-    tagged = set((np.minimum(be[:, 0], be[:, 1]).astype(np.int64) * nv
-                  + np.maximum(be[:, 0], be[:, 1])).tolist())
-    if boundary_keys != tagged:
+    nv = len(mesh.vertices)
+    tagged = np.sort(np.minimum(be[:, 0], be[:, 1]).astype(np.int64) * nv
+                     + np.maximum(be[:, 0], be[:, 1]))
+    if not np.array_equal(keys[counts == 1], tagged):
         raise ValidationError("tagged boundary edges disagree with mesh connectivity")
     normals = polygon.normals[be[:, 2]]
     offsets = polygon.offsets[be[:, 2]]
@@ -428,66 +442,62 @@ _GREF = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 # or below which a level is factored instead of coarsened
 _STRENGTH = 0.08
 _COARSEST = 500
+# stiffness entries |k_uv| <= _ROUNDOFF sqrt(k_uu k_vv) are not stored: for
+# A = I, k_uv = -(cot alpha + cot beta) / 2, so one that small is coordinate
+# roundoff (the right angles of the fan's sub-triangles make many of them)
+_ROUNDOFF = 1e-12
 
 
 def _local_stiffness(mesh: TriMesh, A_field: CoefficientField):
     """Per triangle: the diagonal entries K_ii and the entries K_i,i+1 of its P1 stiffness.
 
+    Both are (3, nt), row i for vertex i and side (i, i+1), so raveled they
+    follow ``_edge_keys``; the work is on contiguous 1-D coordinate columns.
     With e_i the side opposite vertex i and R the quarter turn,
     grad phi_i = R e_i / (2 area), so K_ij = (R e_i)^T A (R e_j) / (4 area),
     A taken at the barycenter.
     """
-    p = np.take(mesh.vertices, mesh.triangles, axis=0)
-    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    ex, ey = e[..., 0], e[..., 1]
-    det = ex[:, 1] * ey[:, 2] - ey[:, 1] * ex[:, 2]   # twice the area
-    Abar = A_field.evaluate_many((p[:, 0] + p[:, 1] + p[:, 2]) / 3.0)
+    x, y = (np.ascontiguousarray(mesh.vertices[:, c]) for c in (0, 1))
+    t = [np.ascontiguousarray(mesh.triangles[:, i]) for i in range(3)]
+    px, py = [np.take(x, ti) for ti in t], [np.take(y, ti) for ti in t]
+    ex = [px[2] - px[1], px[0] - px[2], px[1] - px[0]]
+    ey = [py[2] - py[1], py[0] - py[2], py[1] - py[0]]
+    det = ex[1] * ey[2] - ey[1] * ex[2]   # twice the area
+    Abar = A_field.evaluate_many(np.column_stack([(px[0] + px[1] + px[2]) / 3.0,
+                                                  (py[0] + py[1] + py[2]) / 3.0]))
     if np.any(Abar[:, 0, 1] != Abar[:, 1, 0]):
         raise NonSymmetricCoefficients("A(x) is not symmetric at a barycenter")
     w = 0.5 / det
-    a00, a01, a11 = (Abar[:, r, c, None] * w[:, None] for r, c in ((0, 0), (0, 1), (1, 1)))
+    a00, a01, a11 = (Abar[:, r, c] * w for r, c in ((0, 0), (0, 1), (1, 1)))
     # R^T A R e_i / (2 det), with R^T A R = [[a11, -a01], [-a01, a00]]
-    bx, by = a11 * ex - a01 * ey, a00 * ey - a01 * ex
-    nxt = [1, 2, 0]
-    return bx * ex + by * ey, bx * ex[:, nxt] + by * ey[:, nxt]
-
-
-def _assemble(mesh: TriMesh, A_field: CoefficientField):
-    """Stiffness matrix, built once the per-triangle arrays are freed.
-
-    Each off-diagonal entry is entered twice, so K is exactly symmetric.
-    """
-    diag, off = _local_stiffness(mesh, A_field)
-    off = off.ravel()
-    t = mesh.triangles.astype(np.int32).ravel()   # vertex budgets are far below 2^31
-    tn = mesh.triangles[:, [1, 2, 0]].astype(np.int32).ravel()
-    nv = len(mesh.vertices)
-    return sp.coo_matrix((np.concatenate([diag.ravel(), off, off]),
-                          (np.concatenate([t, t, tn]), np.concatenate([t, tn, t]))),
-                         shape=(nv, nv)).tocsr()
+    bx = [a11 * ex[i] - a01 * ey[i] for i in range(3)]
+    by = [a00 * ey[i] - a01 * ex[i] for i in range(3)]
+    return (np.stack([bx[i] * ex[i] + by[i] * ey[i] for i in range(3)]),
+            np.stack([bx[i] * ex[(i + 1) % 3] + by[i] * ey[(i + 1) % 3] for i in range(3)]))
 
 
 def _aggregate(A) -> np.ndarray:
     """Aggregate index of every node of A, from distance-2 independent roots.
 
-    Strong connections are |a_ij| >= _STRENGTH sqrt(a_ii a_jj). Roots are a
-    maximal set of nodes more than two strong steps apart, chosen by fixed
-    priorities (a seeded permutation): each round takes every undecided node
-    whose key is the largest within two steps and drops every one with a
-    root within two. Other nodes join the highest-priority root one step
-    away, then the remaining ones the aggregate of the highest-priority
-    root among their neighbours' aggregates.
+    Strong connections are |a_ij| >= _STRENGTH sqrt(a_ii a_jj), i != j; the
+    max over a node and its strong neighbours is one scatter-max over them.
+    Roots are a maximal set of nodes more than two strong steps apart, chosen
+    by fixed priorities (a seeded permutation): each round takes every
+    undecided node whose key is the largest within two steps and drops every
+    one with a root within two. Other nodes join the highest-priority root
+    one step away, then the remaining ones the aggregate of the
+    highest-priority root among their neighbours' aggregates.
     """
     n = A.shape[0]
     d = A.diagonal()
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    strong = (rows == A.indices) | (np.abs(A.data) >= _STRENGTH * np.sqrt(d[rows] * d[A.indices]))
-    cols = A.indices[strong]
-    counts = np.add.reduceat(strong, A.indptr[:-1])   # >= 1: the diagonal is strong
-    starts = np.cumsum(counts) - counts
+    strong = (rows != A.indices) & (np.abs(A.data) >= _STRENGTH * np.sqrt(d[rows] * d[A.indices]))
+    rows, cols = rows[strong], A.indices[strong]
 
     def near(values):  # per node: max of values over itself and its strong neighbours
-        return np.maximum.reduceat(values[cols], starts)
+        out = values.copy()
+        np.maximum.at(out, rows, np.take(values, cols))
+        return out
 
     # key = state * n + priority, with state 0 dropped, 1 undecided, 2 root
     prio = np.random.default_rng(0).permutation(n).astype(np.int32)
@@ -555,19 +565,38 @@ def _hierarchy(A) -> tuple[list, object]:
 class _DirichletSystem:
     """The pinned P1 system of one mesh and coefficient field.
 
-    Assembles the stiffness once and splits it into the interior block Kii
-    and the interior-boundary block; the V-cycle hierarchy is built on first
-    use. It keeps no reference to the mesh, so a cached system dies with it.
+    Sums the stiffness per vertex and per edge of the mesh's edge table,
+    leaves out edges with |k_uv| <= _ROUNDOFF sqrt(k_uu k_vv), and builds the
+    interior block Kii (each edge entered on both sides, so exactly symmetric)
+    and -Kib from the interior-interior and interior-boundary edges. The
+    V-cycle hierarchy is built on first use. It keeps no reference to the
+    mesh, so a cached system dies with it.
     """
 
     def __init__(self, mesh: TriMesh, A: CoefficientField):
-        K = _assemble(mesh, A)
-        self.nv = len(mesh.vertices)
+        diag, off = _local_stiffness(mesh, A)
+        keys, side_edge = mesh.edges
+        self.nv = nv = len(mesh.vertices)
+        kd = np.bincount(mesh.triangles.T.ravel(), weights=diag.ravel(), minlength=nv)
+        ke = np.bincount(side_edge, weights=off.ravel(), minlength=len(keys))
+        u, v = keys // nv, keys % nv
+        kept = np.abs(ke) > _ROUNDOFF * np.sqrt(kd[u] * kd[v])
         self.boundary = mesh.boundary_nodes
-        self.interior = np.setdiff1d(np.arange(self.nv), self.boundary)
-        Ki = K[self.interior]
-        self.Kii = Ki[:, self.interior]
-        self.neg_Kib = -Ki[:, self.boundary]
+        on_b = np.zeros(nv, dtype=bool)
+        on_b[self.boundary] = True
+        self.interior = np.flatnonzero(~on_b)
+        ni = len(self.interior)
+        # each node's position within the interior or the boundary nodes
+        index = np.where(on_b, np.cumsum(on_b), np.cumsum(~on_b)) - 1
+        bu, bv = on_b[u], on_b[v]
+        ii, ib = kept & ~bu & ~bv, kept & (bu != bv)
+        iu, iv, k = index[u[ii]], index[v[ii]], ke[ii]
+        self.Kii = sp.csr_matrix((np.concatenate([kd[self.interior], k, k]),
+                                  (np.concatenate([np.arange(ni), iu, iv]),
+                                   np.concatenate([np.arange(ni), iv, iu]))), shape=(ni, ni))
+        i, b = np.where(bu, v, u)[ib], np.where(bu, u, v)[ib]
+        self.neg_Kib = sp.csr_matrix((-ke[ib], (index[i], index[b])),
+                                     shape=(ni, len(self.boundary)))
         self._levels = self._coarse = None
 
     def vcycle(self, b: np.ndarray, k: int = 0) -> np.ndarray:
@@ -691,7 +720,7 @@ def lp_error(sol: FemSolution, reference: float, p: float) -> float:
     """||u - reference||_{L^p} by the 3-point edge-midpoint rule per triangle."""
     if p < 1:
         raise ValidationError("p must be >= 1")
-    u = sol.values[sol.mesh.triangles]
+    u = np.take(sol.values, sol.mesh.triangles)
     mids = np.stack([(u[:, 0] + u[:, 1]) / 2, (u[:, 1] + u[:, 2]) / 2,
                      (u[:, 2] + u[:, 0]) / 2], axis=1)
     areas = sol.mesh.areas

@@ -148,6 +148,31 @@ def test_random_polygon_mesh_and_affine_solve(seed, h, grading):
     assert np.max(np.abs(sol.values - (c0 + mesh.vertices @ c))) <= 1e-9
 
 
+def _broken_meshes():
+    """Four invalid meshes made from one valid one, with the refusal each must raise."""
+    mesh = F.triangulate(G.unit_square(), 0.5)
+    v, t, be = (a.copy() for a in (mesh.vertices, mesh.triangles, mesh.boundary_edges))
+    clockwise = t.copy()
+    clockwise[0] = t[0, [0, 2, 1]]
+    off_face = be.copy()
+    off_face[0, 2] = (be[0, 2] + 1) % 4
+    return [
+        (F.TriMesh(v, clockwise, be), "non-positive triangle areas"),
+        # a second copy of triangle 0 puts a third triangle on its interior sides
+        (F.TriMesh(v, np.vstack([t, t[:1]]), be), "edge shared by more than two triangles"),
+        (F.TriMesh(v, t, be[1:]), "tagged boundary edges disagree with mesh connectivity"),
+        (F.TriMesh(v, t, off_face), "a tagged boundary edge is off its face's line"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_validate_mesh_refuses_broken_meshes(case):
+    F._validate_mesh(F.triangulate(G.unit_square(), 0.5), G.unit_square())
+    mesh, message = _broken_meshes()[case]
+    with pytest.raises(ValidationError, match=message):
+        F._validate_mesh(mesh, G.unit_square())
+
+
 def test_graded_mesh_conforms_and_shrinks_near_corner():
     mesh = F.triangulate(G.unit_square(), 0.2, grading=1.0,
                          grading_centers=np.array([[0.0, 0.0]]), min_edge=1e-3)
@@ -162,8 +187,10 @@ def test_graded_mesh_conforms_and_shrinks_near_corner():
 def test_dmp_structure_on_fan_meshes():
     # no positive off-diagonal stiffness entry for A = I: an M-matrix
     for poly, h in ((G.unit_square(), 0.1), (G.regular_hexagon(), 0.2)):
-        K = F._assemble(F.triangulate(poly, h), I2).tocoo()
-        assert K.data[K.row != K.col].max() <= 1e-10
+        system = F._DirichletSystem(F.triangulate(poly, h), I2)
+        Kii = system.Kii.tocoo()
+        assert Kii.data[Kii.row != Kii.col].max() <= 1e-10
+        assert system.neg_Kib.data.min() >= -1e-10
 
 
 # -- solving -------------------------------------------------------------------
@@ -277,6 +304,24 @@ def _variable_field(pts):
     return s[:, None, None] * np.array([[1.5, 0.4], [0.4, 0.7]])
 
 
+def _assert_blocks_match_oracle(mesh, A):
+    """Kii and -Kib against the oracle's interior rows: stored entries agree,
+    and every entry left out is roundoff relative to its diagonals."""
+    system = F._DirichletSystem(mesh, A)
+    oracle = _einsum_stiffness(mesh, A)
+    tol = 1e-14 * abs(oracle).max()
+    Ki = oracle[system.interior]
+    d = oracle.diagonal()
+    for got, want, cols in ((system.Kii, Ki[:, system.interior], system.interior),
+                            (-system.neg_Kib, Ki[:, system.boundary], system.boundary)):
+        assert abs(got - want).multiply(got != 0).max() <= tol
+        left_out = (want - want.multiply(got != 0)).tocoo()
+        dd = d[system.interior[left_out.row]] * d[cols[left_out.col]]
+        assert np.all(np.abs(left_out.data) <= 1e-12 * np.sqrt(dd))
+    assert (system.Kii != system.Kii.T).nnz == 0
+    return system
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.3), st.sampled_from([0.0, 1.0]))
 def test_closed_form_stiffness_matches_einsum_oracle(seed, h, grading):
@@ -287,9 +332,81 @@ def test_closed_form_stiffness_matches_einsum_oracle(seed, h, grading):
                          min_edge=1e-3 * poly.diameter)
     for A in (F.CoefficientField.constant([[3.0, -1.2], [-1.2, 0.8]]),
               F.CoefficientField(evaluator=_variable_field)):
-        K, oracle = F._assemble(mesh, A), _einsum_stiffness(mesh, A)
-        assert abs(K - oracle).max() <= 1e-14 * abs(oracle).max()
-        assert (K != K.T).nnz == 0
+        _assert_blocks_match_oracle(mesh, A)
+
+
+def test_golden_square_blocks_leave_out_roundoff_entries():
+    # the fan's right triangles make about 29% of Kii's entries roundoff at 1/16
+    mesh, _ = _golden_system(1 / 16)
+    assert _assert_blocks_match_oracle(mesh, I2).Kii.nnz == 253_129
+
+
+def _reduceat_aggregate(A):
+    """Aggregation with per-node maxima by np.maximum.reduceat over CSR
+    segments, kept as an oracle for the scatter-max ``F._aggregate``."""
+    n = A.shape[0]
+    d = A.diagonal()
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    strong = (rows == A.indices) | (np.abs(A.data) >= F._STRENGTH * np.sqrt(d[rows] * d[A.indices]))
+    cols = A.indices[strong]
+    counts = np.add.reduceat(strong, A.indptr[:-1])
+    starts = np.cumsum(counts) - counts
+
+    def near(values):
+        return np.maximum.reduceat(values[cols], starts)
+
+    prio = np.random.default_rng(0).permutation(n).astype(np.int32)
+    key = n + prio
+    while True:
+        undecided = (key >= n) & (key < 2 * n)
+        if not undecided.any():
+            break
+        top = near(near(key))
+        taken = undecided & (top == key)
+        key[taken] += n
+        key[undecided & ~taken & (top >= 2 * n)] -= n
+    root = key >= 2 * n
+    agg = np.full(n, -1)
+    agg[root] = np.arange(root.sum())
+    root_prio = prio[root]
+    node_of = np.argsort(prio)
+    for _ in range(2):
+        best = near(np.where(agg >= 0, root_prio[agg], -1))
+        join = (agg < 0) & (best >= 0)
+        agg[join] = agg[node_of[best[join]]]
+    lone = agg < 0
+    agg[lone] = root.sum() + np.arange(lone.sum())
+    return agg
+
+
+def _assert_aggregates_match_oracle(mesh, A):
+    Kii = F._DirichletSystem(mesh, A).Kii
+    levels, _ = F._hierarchy(Kii)
+    for level in [L.A for L in levels] or [Kii]:
+        assert np.array_equal(F._aggregate(level), _reduceat_aggregate(level))
+
+
+ANISO = F.CoefficientField.constant([[2.0, 0.5], [0.5, 1.0]])
+
+
+@pytest.mark.parametrize("make, A", [
+    (lambda: _golden_system(1 / 16)[0], I2),
+    (_corner_probe_mesh, I2),
+    (_strip_mesh, I2),
+    (lambda: F.triangulate(G.regular_hexagon(), 0.02), ANISO),
+], ids=["golden-1-16", "corner-probe-sector", "strip-mesh", "hexagon-0.02-anisotropic"])
+def test_aggregates_match_reduceat_oracle(make, A):
+    _assert_aggregates_match_oracle(make(), A)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.02, 0.06), st.sampled_from([0.0, 1.0]))
+def test_aggregates_match_reduceat_oracle_on_random_polygons(seed, h, grading):
+    rng = np.random.default_rng(seed)
+    poly = random_convex_polygon(rng)
+    mesh = F.triangulate(poly, h, grading=grading, grading_centers=G.polygon_vertices(poly)[:1],
+                         min_edge=1e-3 * poly.diameter)
+    _assert_aggregates_match_oracle(mesh, I2 if seed % 2 else ANISO)
 
 
 def _golden_system(eps):
@@ -330,8 +447,9 @@ def test_two_builds_give_bit_identical_solutions():
 
 def test_harmonic_measures_on_one_mesh_assemble_once(monkeypatch):
     calls = []
-    assemble = F._assemble
-    monkeypatch.setattr(F, "_assemble", lambda *a: calls.append(1) or assemble(*a))
+    build = F._DirichletSystem.__init__
+    monkeypatch.setattr(F._DirichletSystem, "__init__",
+                        lambda self, *a: calls.append(1) or build(self, *a))
     gs = G.golden_square()
     centroid = G.polygon_vertices(gs).mean(axis=0)
     mesh = F.triangulate(gs, 0.05)
