@@ -4,8 +4,10 @@ Meshes come from a centroid fan subdivided uniformly to the target edge
 length, with optional longest-edge bisection (Rivara, IJNME 20, 1984) graded
 toward selected corners. Both stages work on whole arrays: the fan's nodes,
 triangles and boundary edges are numbered in closed form, and each bisection
-pass marks, closes and splits every edge at once, so a mesh costs a fixed
-number of numpy passes rather than a Python step per node or triangle.
+pass measures only the previous pass's pieces, merges their sides into one
+edge table grown in place, and marks, closes and splits every edge at once,
+so a mesh costs a fixed number of numpy passes rather than a Python step per
+node or triangle.
 The solver assembles the stiffness of -div(A grad u) in closed form with
 one-point coefficient quadrature at barycenters, summed on the mesh's one
 edge table (shared with validation) and leaving out roundoff entries
@@ -139,15 +141,28 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
     of sector 0. That makes 1 + n k (k + 1) / 2 nodes, so ``max_vertices``
     is checked before any node is made. With grading > 0, triangles near
     the grading centers (default: the polygon vertices) are bisected further,
-    in array-wide passes (see ``_graded_bisection``), until the local edge is
-    below h * (d_*(center) / diam)^grading, where d_* is the distance to the
-    nearest grading center; ``min_edge`` floors the local target.
+    in array-wide passes that each measure only the last pass's pieces (see
+    ``_graded_bisection``), until the local edge is below
+    h * (d_*(center) / diam)^grading, where d_* is the distance to the
+    nearest grading center; ``min_edge`` floors the local target. A grading,
+    ``min_edge`` or ``grading_centers`` out of range, or ``max_vertices``
+    above 2**31, raises ``ValidationError``.
     """
     if polygon.dim != 2:
         raise UnsupportedDimension("triangulation is for d = 2 polygons")
     if not h > 0:  # also rejects nan
         raise ValidationError("h must be positive")
+    if not 0 <= grading < np.inf:
+        raise ValidationError("grading must be finite and non-negative")
+    if min_edge is not None and not 0 < min_edge < np.inf:
+        raise ValidationError("min_edge must be finite and positive")
+    if max_vertices > 2**31:  # a side key holds two vertex indices, 32 bits each
+        raise ValidationError("max_vertices must be at most 2**31")
     verts = np.asarray(polygon_vertices(polygon))
+    centers = np.asarray(grading_centers if grading_centers is not None else verts, dtype=float)
+    if not (centers.ndim == 2 and len(centers) and centers.shape[1] == 2
+            and np.isfinite(centers).all()):
+        raise ValidationError("grading_centers must be finite, of shape (k >= 1, 2)")
     n = len(verts)
     x, y = verts[:, 0], verts[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
@@ -212,7 +227,6 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
                               np.repeat(side_face, k)])
 
     if grading > 0.0:
-        centers = np.asarray(grading_centers if grading_centers is not None else verts, dtype=float)
         diam = polygon.diameter
         floor = min_edge if min_edge is not None else 1e-4 * diam
         coords, tris, bedges = _graded_bisection(
@@ -232,41 +246,60 @@ def _graded_bisection(coords, tris, bedges, centers, h, grading, diam, floor,
     marking so adjacent triangles stay conforming, and bisects; new edges are
     never marked within a pass, so conformity is preserved. Boundary edges are
     rows (a, b, face) with a < b; a bisected one is replaced by its halves.
+    A triangle a pass leaves whole meets its target ever after, so each pass
+    measures only the last pass's pieces (the first: every triangle) and
+    merges their sides into one sorted edge table. Side keys min * 2**32 + max
+    do not change as vertices are added; a bisected edge stays as a row that
+    no side points to, so it is never marked again.
     """
+    keys = np.array([np.iinfo(np.int64).max])  # a sentinel above every key
+    side_edge = np.zeros((len(tris), 3), dtype=np.int64)  # table row of every side
+    longest = np.empty(len(tris), dtype=np.int64)  # the side a pass marks first
+    fresh = np.arange(len(tris))
     for _ in range(200):  # outer passes; each enforces the target once more
         nv = len(coords)
         # np.take gathers rows ~10x faster than coords[tris]; explicit columns
         # replace short-axis reductions, with the bits of .mean(axis=1) and
         # np.linalg.norm(axis=-1)
-        p = np.take(coords, tris, axis=0)
+        t = tris[fresh]
+        p = np.take(coords, t, axis=0)
         cent = (p[:, 0] + p[:, 1] + p[:, 2]) / 3
         dc = cent[:, None, :] - centers[None, :, :]
         dstar = np.sqrt(dc[..., 0] * dc[..., 0] + dc[..., 1] * dc[..., 1]).min(axis=1)
         target = np.maximum(h * (dstar / diam) ** grading, floor)
 
-        nxt = tris[:, [1, 2, 0]]  # side s runs from tris[:, s] to nxt[:, s]
+        nxt = t[:, [1, 2, 0]]  # side s runs from t[:, s] to nxt[:, s]
         e = p - np.take(coords, nxt, axis=0)
-        lens = np.sqrt(e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1])            # (T,3)
+        lens = np.sqrt(e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1])            # (F,3)
         lmax = np.maximum(np.maximum(lens[:, 0], lens[:, 1]), lens[:, 2])
-        keys = np.minimum(tris, nxt) * nv + np.maximum(tris, nxt)                # (T,3)
+        fkeys = np.minimum(t, nxt) * 2**32 + np.maximum(t, nxt)                  # (F,3)
         # longest side with deterministic tie-break: largest length, then
         # smallest edge key among near-equal lengths
         near = lens >= lmax[:, None] - 1e-14
-        tie_keys = np.where(near, keys, np.iinfo(np.int64).max)
-        longest = np.argmin(tie_keys, axis=1)
-        rows = np.arange(len(tris))
-
-        need = lmax > target
-        if not need.any():
+        longest[fresh] = np.argmin(np.where(near, fkeys, np.iinfo(np.int64).max), axis=1)
+        need = fresh[lmax > target]
+        if not len(need):
             break
 
-        uniq_keys, inv = np.unique(keys, return_inverse=True)
-        inv = inv.reshape(keys.shape)
-        longest_id = inv[rows, longest]
-        marked = np.zeros(len(uniq_keys), dtype=bool)
+        # merge the pieces' sides into the table (np.unique takes a slow hash
+        # path); old rows shift by the number of keys inserted at or before them
+        flat = fkeys.ravel()
+        order = np.argsort(flat)
+        ranked = flat[order]
+        first = np.concatenate([[True], ranked[1:] != ranked[:-1]])
+        uniq = ranked[first]
+        at = np.searchsorted(keys, uniq)
+        new = keys[at] != uniq
+        ins = at[new]
+        side_edge += np.cumsum(np.bincount(ins, minlength=len(keys)))[side_edge]
+        keys = np.insert(keys, ins, uniq[new])
+        side_edge[fresh[order // 3], order % 3] = np.searchsorted(keys, uniq)[np.cumsum(first) - 1]
+
+        longest_id = side_edge[np.arange(len(tris)), longest]
+        marked = np.zeros(len(keys), dtype=bool)
         marked[longest_id[need]] = True
         while True:
-            side_marked = marked[inv]
+            side_marked = marked[side_edge]
             has_marked = side_marked[:, 0] | side_marked[:, 1] | side_marked[:, 2]
             grow = has_marked & ~marked[longest_id]
             if not grow.any():
@@ -274,21 +307,23 @@ def _graded_bisection(coords, tris, bedges, centers, h, grading, diam, floor,
             marked[longest_id[grow]] = True
 
         # midpoints of the marked edges, numbered in sorted-key order
-        split = uniq_keys[marked]
+        split = keys[marked]
         if nv + len(split) > max_vertices:
             raise BudgetExceeded(f"vertex budget {max_vertices} exceeded during grading")
-        midpoint = np.full(len(uniq_keys), -1, dtype=np.int64)
+        midpoint = np.full(len(keys), -1, dtype=np.int64)
         midpoint[marked] = nv + np.arange(len(split))
-        coords = np.concatenate([coords, 0.5 * (np.take(coords, split // nv, axis=0)
-                                                + np.take(coords, split % nv, axis=0))])
+        coords = np.concatenate([coords, 0.5 * (np.take(coords, split >> 32, axis=0)
+                                                + np.take(coords, split & 0xFFFFFFFF, axis=0))])
 
-        w = midpoint[np.searchsorted(uniq_keys, bedges[:, 0] * nv + bedges[:, 1])]
+        w = midpoint[np.searchsorted(keys, bedges[:, 0] * 2**32 + bedges[:, 1])]
         hit = w >= 0
         bedges = np.concatenate([
             bedges[~hit],
             np.column_stack([bedges[hit, 0], w[hit], bedges[hit, 2]]),
             np.column_stack([bedges[hit, 1], w[hit], bedges[hit, 2]])])
-        tris = _bisect_marked(coords, tris, midpoint[inv])
+        tris, count, fresh = _bisect_marked(coords, tris, midpoint[side_edge])
+        side_edge = np.repeat(side_edge, count, axis=0)
+        longest = np.repeat(longest, count)
     else:
         raise BudgetExceeded("graded refinement did not settle within 200 passes")
     return coords, tris, bedges
@@ -303,6 +338,8 @@ def _bisect_marked(coords, tris, side_mid):
     an outer side of the parent, and splits there, after which no marked side
     is left. The output lists, triangle by triangle, the untouched triangle
     or its two to four pieces in depth-first order (first half, then second).
+    Returns it with the number of output rows of every input row and the
+    output rows of the pieces, ascending.
     """
     has = side_mid >= 0
     touched = has[:, 0] | has[:, 1] | has[:, 2]
@@ -329,8 +366,9 @@ def _bisect_marked(coords, tris, side_mid):
     count[touched] = 2 + cut1 + cut2
     out = np.repeat(tris, count, axis=0)
     first = np.cumsum(count)[touched] - count[touched]
-    out[(first[:, None] + np.cumsum(keep, axis=1) - 1)[keep]] = pieces[keep]
-    return out
+    rows = (first[:, None] + np.cumsum(keep, axis=1) - 1)[keep]
+    out[rows] = pieces[keep]
+    return out, count, rows
 
 
 def write_mesh(path, mesh: TriMesh) -> None:
@@ -514,7 +552,8 @@ def _aggregate(A) -> np.ndarray:
     agg = np.full(n, -1)
     agg[root] = np.arange(root.sum())
     root_prio = prio[root]
-    node_of = np.argsort(prio)
+    node_of = np.empty(n, dtype=np.int64)  # inverse of the permutation prio
+    node_of[prio] = np.arange(n)
     for _ in range(2):      # the ring around each root, then the ring beyond
         best = near(np.where(agg >= 0, root_prio[agg], -1))
         join = (agg < 0) & (best >= 0)

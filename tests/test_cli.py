@@ -193,6 +193,17 @@ def test_solver_config_without_iterations_is_validation_failure(tmp_path, capsys
     assert "error: max_iter must be at least 1" in capsys.readouterr().err
 
 
+def test_solve_mode_nan_grading_is_validation_failure(tmp_path, capsys):
+    # JSON accepts NaN; a nan grading used to give the uniform mesh silently
+    cfg = _write(tmp_path / "c.json", {
+        "schema": 1, "polytope": _write(tmp_path / "sq.json",
+                                        G.polytope_to_dict(G.unit_square())),
+        "boundary": {"type": "constant", "value": 1.0}, "h": 0.2, "grading": float("nan")})
+    assert "NaN" in (tmp_path / "c.json").read_text()
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "error: grading must be finite and non-negative" in capsys.readouterr().err
+
+
 def _golden_sweep_config(tmp_path, golden_files):
     poly, gpath = golden_files
     return _write(tmp_path / "c.json", {

@@ -114,6 +114,12 @@ MESH_DIGESTS = {
         ("6125a285be15c3352e6196d7dde14d0efea3372563671f2dce4cfd0634badb98",
          "b70b9549fbb2866c68c10b526546b6cf326955fe0aa02eea0435a9cdf070e019",
          "7058214ccc5010ba8a831ce9d1e0203339f078027fb10354bf2cf15d2ceb3017")),
+    # four centers whose refinement zones meet: long closure chains
+    "golden square, h=0.1, graded 1.0 toward its four vertices": (
+        lambda: F.triangulate(G.golden_square(), 0.1, grading=1.0, min_edge=1e-4),
+        ("8a49ac25d7bc6dbb20fc49025d026940f0a41ffa16c56b3c1178d6d296a170cf",
+         "179752db5185b016068d44492f741c2d21678a9f8ed1ce9d107b91e93c441b93",
+         "12872cc1c2f3c9339df2509d9499616c3e6cbebebe0fa564653d7bf5958f9859")),
 }
 
 
@@ -124,6 +130,118 @@ def test_mesh_digests_pinned(name):
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
                 for a in (mesh.vertices, mesh.triangles, mesh.boundary_edges))
     assert got == expected
+
+
+def _full_recompute_graded_bisection(coords, tris, bedges, centers, h, grading, diam, floor,
+                                     max_vertices):
+    """Graded bisection that measures every triangle and rebuilds the edge
+    table with np.unique on every pass, kept as an oracle for the incremental
+    ``F._graded_bisection``."""
+    for _ in range(200):
+        nv = len(coords)
+        p = np.take(coords, tris, axis=0)
+        cent = (p[:, 0] + p[:, 1] + p[:, 2]) / 3
+        dc = cent[:, None, :] - centers[None, :, :]
+        dstar = np.sqrt(dc[..., 0] * dc[..., 0] + dc[..., 1] * dc[..., 1]).min(axis=1)
+        target = np.maximum(h * (dstar / diam) ** grading, floor)
+
+        nxt = tris[:, [1, 2, 0]]
+        e = p - np.take(coords, nxt, axis=0)
+        lens = np.sqrt(e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1])
+        lmax = np.maximum(np.maximum(lens[:, 0], lens[:, 1]), lens[:, 2])
+        keys = np.minimum(tris, nxt) * nv + np.maximum(tris, nxt)
+        near = lens >= lmax[:, None] - 1e-14
+        tie_keys = np.where(near, keys, np.iinfo(np.int64).max)
+        longest = np.argmin(tie_keys, axis=1)
+        rows = np.arange(len(tris))
+
+        need = lmax > target
+        if not need.any():
+            break
+
+        uniq_keys, inv = np.unique(keys, return_inverse=True)
+        inv = inv.reshape(keys.shape)
+        longest_id = inv[rows, longest]
+        marked = np.zeros(len(uniq_keys), dtype=bool)
+        marked[longest_id[need]] = True
+        while True:
+            side_marked = marked[inv]
+            has_marked = side_marked[:, 0] | side_marked[:, 1] | side_marked[:, 2]
+            grow = has_marked & ~marked[longest_id]
+            if not grow.any():
+                break
+            marked[longest_id[grow]] = True
+
+        split = uniq_keys[marked]
+        if nv + len(split) > max_vertices:
+            raise BudgetExceeded(f"vertex budget {max_vertices} exceeded during grading")
+        midpoint = np.full(len(uniq_keys), -1, dtype=np.int64)
+        midpoint[marked] = nv + np.arange(len(split))
+        coords = np.concatenate([coords, 0.5 * (np.take(coords, split // nv, axis=0)
+                                                + np.take(coords, split % nv, axis=0))])
+
+        w = midpoint[np.searchsorted(uniq_keys, bedges[:, 0] * nv + bedges[:, 1])]
+        hit = w >= 0
+        bedges = np.concatenate([
+            bedges[~hit],
+            np.column_stack([bedges[hit, 0], w[hit], bedges[hit, 2]]),
+            np.column_stack([bedges[hit, 1], w[hit], bedges[hit, 2]])])
+        tris = F._bisect_marked(coords, tris, midpoint[inv])[0]
+    else:
+        raise BudgetExceeded("graded refinement did not settle within 200 passes")
+    return coords, tris, bedges
+
+
+def _graded_or_budget(bisect, mesh, *args):
+    try:
+        return bisect(mesh.vertices, mesh.triangles, mesh.boundary_edges, *args)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.1, 0.4), st.integers(1, 4),
+       st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([2e-3, 5e-3, 2e-2]),
+       st.sampled_from([300, 3000, None]))
+def test_graded_bisection_matches_full_recompute_oracle(seed, h, ncenters, grading, floor,
+                                                        extra_vertices):
+    # the incremental passes give the same bits, and hit the budget on the same pass
+    rng = np.random.default_rng(seed)
+    poly = random_convex_polygon(rng)
+    verts = G.polygon_vertices(poly)
+    # polygon vertices and interior points (convex combinations of the vertices)
+    pool = np.vstack([verts, rng.dirichlet(np.ones(len(verts)), 4) @ verts])
+    centers = pool[rng.choice(len(pool), ncenters, replace=False)]
+    uniform = F.triangulate(poly, h)
+    budget = 3_000_000 if extra_vertices is None else len(uniform.vertices) + extra_vertices
+    args = (centers, h, grading, poly.diameter, floor * poly.diameter, budget)
+    got = _graded_or_budget(F._graded_bisection, uniform, *args)
+    want = _graded_or_budget(_full_recompute_graded_bisection, uniform, *args)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"grading": math.nan}, "grading must be finite"),
+    ({"grading": -1.0}, "grading must be finite"),
+    ({"grading": math.inf}, "grading must be finite"),
+    ({"grading": 1.0, "min_edge": math.nan}, "min_edge must be finite and positive"),
+    ({"grading": 1.0, "min_edge": -1.0}, "min_edge must be finite and positive"),
+    ({"grading": 1.0, "min_edge": 0.0}, "min_edge must be finite and positive"),
+    ({"grading": 1.0, "grading_centers": [[math.nan, 0.0]]}, "grading_centers must be finite"),
+    ({"grading": 1.0, "grading_centers": np.empty((0, 2))}, "grading_centers must be finite"),
+    ({"grading": 1.0, "grading_centers": [0.0, 0.0]}, "grading_centers must be finite"),
+    ({"grading": 1.0, "grading_centers": [[0.0, 0.0, 0.0]]}, "grading_centers must be finite"),
+    ({"max_vertices": 2**31 + 1}, "max_vertices must be at most 2\\*\\*31"),
+], ids=["grading-nan", "grading-negative", "grading-inf", "min-edge-nan", "min-edge-negative",
+        "min-edge-zero", "center-nan", "no-centers", "centers-1d", "centers-3d",
+        "max-vertices-over-2-31"])
+def test_triangulate_refuses_bad_grading_arguments(kwargs, message):
+    # each of these used to give the uniform mesh, run to the budget or raise a bare numpy error
+    with pytest.raises(ValidationError, match=message):
+        F.triangulate(G.unit_square(), 0.2, **kwargs)
 
 
 @settings(max_examples=25, deadline=None)
