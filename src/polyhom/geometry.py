@@ -14,6 +14,7 @@ are expected pre-scaled to diameter O(1).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -75,7 +76,8 @@ class ConvexPolytope:
     """Bounded intersection of half-spaces with nonempty interior.
 
     Construct through :func:`build_polytope`, which certifies boundedness and
-    strict feasibility; instances are immutable.
+    strict feasibility; instances are immutable, so their faces are computed
+    once, on first use, and kept (``faces``).
     """
 
     dim: int
@@ -103,6 +105,11 @@ class ConvexPolytope:
 
     def contains(self, x, tol: float = GEOM_TOL) -> bool:
         return bool(np.min(self.slacks(x)) >= -tol)
+
+    @functools.cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """The positive-measure faces; see :func:`faces`."""
+        return tuple(_compute_faces(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,10 +242,11 @@ def build_polytope(halfspaces) -> ConvexPolytope:
     N = np.array([h.normal for h in hs])
     c = np.array([h.offset for h in hs])
     n = len(hs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.max(np.abs(N[i] - N[j])) <= GEOM_TOL and abs(c[i] - c[j]) <= GEOM_TOL:
-                raise DuplicateHalfSpace(f"half-spaces {i} and {j} coincide within tolerance")
+    same = ((np.abs(N[:, None] - N[None]).max(axis=2) <= GEOM_TOL)
+            & (np.abs(c[:, None] - c[None]) <= GEOM_TOL))
+    i, j = np.nonzero(np.triu(same, 1))  # row-major: the first pair in i-major order
+    if i.size:
+        raise DuplicateHalfSpace(f"half-spaces {i[0]} and {j[0]} coincide within tolerance")
 
     # max t  s.t.  nu_j . x - t >= c_j, t <= 1  (t* = inradius when t* < 1)
     A_ub = np.hstack([-N, np.ones((n, 1))])
@@ -475,28 +483,38 @@ def _face_polygon_3d(poly: ConvexPolytope, k: int) -> np.ndarray | None:
     return p0 + uv[:, :1] * e1 + uv[:, 1:] * e2
 
 
-def faces(poly: ConvexPolytope) -> list[Face]:
+def faces(poly: ConvexPolytope) -> tuple[Face, ...]:
     """One Face per half-space whose active set has positive (d-1)-measure.
 
     Degenerate contacts (a vertex or lower-dimensional touch, including fully
-    redundant half-spaces) are dropped with a DegenerateFaceWarning.
+    redundant half-spaces) are dropped with a DegenerateFaceWarning. The
+    faces are computed on the first call for a polytope and kept on it
+    (``ConvexPolytope.faces``): later calls return the same tuple, and the
+    warning fires on the first call only.
     """
+    return poly.faces
+
+
+def _degenerate(j: int, shape: str) -> None:
+    # frames: this, _compute_faces, ConvexPolytope.faces, cached_property, faces, its caller
+    warnings.warn(f"half-space {j} touches the {shape} in a degenerate set; dropped",
+                  DegenerateFaceWarning, stacklevel=6)
+
+
+def _compute_faces(poly: ConvexPolytope) -> list[Face]:
     out: list[Face] = []
     if poly.dim == 2:
         verts = polygon_vertices(poly)
-        N, c = poly.normals, poly.offsets
         for j, h in enumerate(poly.halfspaces):
             on = [v for v in verts if abs(float(h.normal @ v) - h.offset) <= 1e-9]
             if len(on) < 2:
-                warnings.warn(f"half-space {j} touches the polygon in a degenerate set; dropped",
-                              DegenerateFaceWarning, stacklevel=2)
+                _degenerate(j, "polygon")
                 continue
             t = np.array([h.normal[1], -h.normal[0]])  # CCW traversal direction
             on.sort(key=lambda v: float(t @ v))
             a, b = on[0], on[-1]
             if np.linalg.norm(b - a) <= 1e-9:
-                warnings.warn(f"half-space {j} touches the polygon in a degenerate set; dropped",
-                              DegenerateFaceWarning, stacklevel=2)
+                _degenerate(j, "polygon")
                 continue
             out.append(Face(index=j, normal=h.normal, offset=h.offset, dim=2,
                             vertices=_readonly(np.array([a, b]))))
@@ -505,8 +523,7 @@ def faces(poly: ConvexPolytope) -> list[Face]:
         for j, h in enumerate(poly.halfspaces):
             vv = _face_polygon_3d(poly, j)
             if vv is None:
-                warnings.warn(f"half-space {j} touches the polytope in a degenerate set; dropped",
-                              DegenerateFaceWarning, stacklevel=2)
+                _degenerate(j, "polytope")
                 continue
             out.append(Face(index=j, normal=h.normal, offset=h.offset, dim=3,
                             vertices=_readonly(vv)))
@@ -524,8 +541,7 @@ def faces(poly: ConvexPolytope) -> list[Face]:
                       bounds=[(lo, hi) for lo, hi in poly.bbox] + [(None, 1.0)],
                       method="highs")
         if res.status != 0 or res.x is None or res.x[-1] <= GEOM_TOL:
-            warnings.warn(f"half-space {j} touches the polytope in a degenerate set; dropped",
-                          DegenerateFaceWarning, stacklevel=2)
+            _degenerate(j, "polytope")
             continue
         out.append(Face(index=j, normal=h.normal, offset=h.offset, dim=poly.dim, vertices=None))
     return out
@@ -564,7 +580,7 @@ def distance_to_singular(poly: ConvexPolytope, x) -> float:
     if not poly.contains(x):
         raise OutsideDomain("point outside the closed polytope")
     if poly.dim == 2:
-        verts = polygon_vertices(poly)
+        verts = np.array([f.vertices[0] for f in faces(poly)])  # each vertex starts one face
         return float(np.min(np.linalg.norm(verts - x, axis=1)))
     if poly.dim == 3:
         return float(min(_point_segment_distance(x, a, b) for a, b in polytope_edges(poly)))
@@ -625,15 +641,24 @@ def _half_ball_size(d: int, bound: int) -> int:
     return (sum(2 ** k * math.comb(d, k) * math.comb(bound, k) for k in range(d + 1)) - 1) // 2
 
 
-def _extend(prefix, budget, ends, zero, t):
-    """Rows t of the prefixes, each extended by one more coordinate c.
+def _extend(prefix, budget, ends, zero, start, stop):
+    """Rows start..stop-1 of the prefixes, each extended by one more coordinate c.
 
-    Prefix i owns the rows below ends[i] from ends[i - 1] on, and zero[i] is
-    its row with c = 0; also returns the l1 budget each row has left.
+    Prefix i owns the contiguous run of rows below ends[i] from ends[i - 1]
+    on, where c climbs by one per row from -budget[i], and zero[i] is its row
+    with c = 0; also returns the l1 budget each row has left. Only the runs
+    the rows overlap are read: their prefixes are repeated once per row, and
+    c is the row index less the repeated zero rows.
     """
-    i = np.searchsorted(ends, t, side="right")
-    c = t - zero[i]
-    return np.column_stack([prefix[i], c]), budget[i] - np.abs(c)
+    i0 = int(np.searchsorted(ends, start, side="right"))
+    i1 = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+    ends, zero, budget = ends[i0:i1], zero[i0:i1], budget[i0:i1]
+    counts = np.minimum(ends, stop) - np.maximum(zero - budget, start)
+    c = np.arange(start, stop) - np.repeat(zero, counts)
+    m = np.empty((stop - start, prefix.shape[1] + 1))
+    m[:, :-1] = np.repeat(prefix[i0:i1], counts, axis=0)
+    m[:, -1] = c
+    return m, np.repeat(budget, counts) - np.abs(c)
 
 
 def _l1_half_ball_blocks(d: int, bound: int, block: int = 8192):
@@ -643,6 +668,10 @@ def _l1_half_ball_blocks(d: int, bound: int, block: int = 8192):
     negative, one of each +-m pair. Coordinates are added one at a time: a
     prefix with l1 budget r takes the next one from [-r, r], or from [-r, 0]
     while it is all zero ([-r, -1] for the last coordinate, excluding m = 0).
+    In lexicographic order each prefix owns one run of consecutive values of
+    the next coordinate, so a block is built from the runs it overlaps by
+    repeating their prefixes (``_extend``); a block may start and end inside
+    a run.
     """
     prefix = np.zeros((1, 0))  # float rows: M @ nu then needs no cast copy
     budget = np.array([bound])
@@ -652,9 +681,9 @@ def _l1_half_ball_blocks(d: int, bound: int, block: int = 8192):
         ends = np.cumsum(hi + budget + 1)
         zero = ends - hi - 1
         if k < d:
-            prefix, budget = _extend(prefix, budget, ends, zero, np.arange(ends[-1]))
+            prefix, budget = _extend(prefix, budget, ends, zero, 0, int(ends[-1]))
     for start in range(0, int(ends[-1]), block):
-        m, left = _extend(prefix, budget, ends, zero, np.arange(start, min(start + block, ends[-1])))
+        m, left = _extend(prefix, budget, ends, zero, start, min(start + block, int(ends[-1])))
         yield m, bound - left
 
 
@@ -663,8 +692,11 @@ def diophantine_check(nu, tau: float, bound: int) -> DiophantineCert:
 
     Since -m gives the same value, only the half ball whose first nonzero
     coordinate is negative is searched, in lexicographic order; worst_m is the
-    lexicographically first minimiser. A search of more than 20M vectors
-    (d = 3 beyond bound 310) raises ValidationError before enumerating any.
+    lexicographically first minimiser. The vectors come in blocks of at most
+    8192 rows, each built from runs of the last coordinate
+    (`_l1_half_ball_blocks`), so memory stays at one block plus the prefixes.
+    A search of more than 20M vectors (d = 3 beyond bound 310) raises
+    ValidationError before enumerating any.
     """
     nu = np.asarray(nu, dtype=float)
     if nu.ndim != 1 or not np.isfinite(nu).all() or abs(np.linalg.norm(nu) - 1.0) > 1e-10:

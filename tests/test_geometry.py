@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,45 @@ def test_duplicate_halfspace_rejected():
     hs = list(G.unit_square().halfspaces) + [G.HalfSpace(np.array([1.0, 0.0]), 0.0)]
     with pytest.raises(DuplicateHalfSpace):
         G.build_polytope(hs)
+    # non-adjacent duplicates (1, 7) and (4, 6), the second within tolerance:
+    # the first pair in i-major order is named
+    hex_hs = G.regular_hexagon().halfspaces
+    hs = list(hex_hs) + [G.HalfSpace(hex_hs[4].normal, hex_hs[4].offset + 5e-11), hex_hs[1]]
+    with pytest.raises(DuplicateHalfSpace, match=r"^half-spaces 1 and 7 coincide within tolerance$"):
+        G.build_polytope(hs)
+
+
+def _first_duplicate_loop(hs):
+    """The pairwise scan build_polytope replaced: first (i, j), i-major."""
+    for i in range(len(hs)):
+        for j in range(i + 1, len(hs)):
+            if (np.max(np.abs(hs[i].normal - hs[j].normal)) <= G.GEOM_TOL
+                    and abs(hs[i].offset - hs[j].offset) <= G.GEOM_TOL):
+                return f"half-spaces {i} and {j} coincide within tolerance"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_duplicate_halfspace_matches_pairwise_scan(seed):
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 2
+    hs = []
+    for _ in range(rng.integers(3, 12)):
+        nu = rng.standard_normal(d)
+        hs.append(G.HalfSpace(nu / np.linalg.norm(nu), float(rng.uniform(-1.0, 0.0))))
+    for _ in range(rng.integers(0, 4)):  # copies at random places, some nudged within tolerance
+        h = hs[rng.integers(len(hs))]
+        nudge = rng.choice([0.0, 0.5 * G.GEOM_TOL, 2.0 * G.GEOM_TOL])
+        hs.insert(int(rng.integers(len(hs) + 1)), G.HalfSpace(h.normal, h.offset + nudge))
+    expected = _first_duplicate_loop(hs)
+    try:
+        G.build_polytope(hs)
+    except DuplicateHalfSpace as exc:
+        assert str(exc) == expected
+    except ValidationError:  # an unbounded or empty draw passed the duplicate check
+        assert expected is None
+    else:
+        assert expected is None
 
 
 def test_json_roundtrip_and_renormalization_warning(tmp_path):
@@ -112,6 +152,37 @@ def test_redundant_tangent_halfspace_warns_and_is_dropped():
     with pytest.warns(DegenerateFaceWarning):
         fs = G.faces(poly)
     assert len(fs) == 4
+
+
+def test_degenerate_face_warning_fires_on_the_first_call_only():
+    nu = np.array([1.0, 1.0]) / SQRT2
+    hs = list(G.unit_square().halfspaces) + [G.HalfSpace(-nu, float(-nu @ [1.0, 1.0]))]
+    poly = G.build_polytope(hs)
+    with pytest.warns(DegenerateFaceWarning):
+        first = G.faces(poly)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        again = G.faces(poly)
+    assert again is first and caught == []
+
+
+@pytest.mark.parametrize("make,site,computed", [
+    (G.golden_square, "polygon_vertices", 1),
+    (G.unit_cube, "_face_polygon_3d", 6),
+])
+def test_faces_are_computed_once_per_polytope(make, site, computed, monkeypatch):
+    poly = make()
+    calls = []
+    inner = getattr(G, site)
+    monkeypatch.setattr(G, site, lambda *a: calls.append(a) or inner(*a))
+    fs = G.faces(poly)
+    assert isinstance(fs, tuple) and len(calls) == computed
+    assert G.faces(poly) is fs and poly.faces is fs
+    # the other face consumers read the kept faces too
+    G.distance_to_singular(poly, poly.interior_point)
+    G.max_adjacent_angle(poly)
+    assert len(calls) == computed
+    assert G.faces(make()) is not fs and len(calls) == 2 * computed  # a new polytope computes afresh
 
 
 def test_faces_ccw_orientation():
@@ -162,6 +233,16 @@ def test_distance_to_singular():
     sq = G.unit_square()
     assert G.distance_to_singular(sq, [0.5, 0.5]) == pytest.approx(SQRT2 / 2, abs=1e-12)
     assert G.distance_to_singular(sq, [0.1, 0.1]) == pytest.approx(SQRT2 * 0.1, abs=1e-12)
+
+
+def test_distance_to_singular_polygon_matches_vertex_oracle():
+    rng = np.random.default_rng(3)
+    polys = [random_convex_polygon(rng) for _ in range(20)] + [G.regular_hexagon()]
+    for poly in polys:
+        verts = G.polygon_vertices(poly)
+        for x in [poly.interior_point, *(0.5 * (poly.interior_point + v) for v in verts)]:
+            expected = float(np.min(np.linalg.norm(verts - x, axis=1)))
+            assert G.distance_to_singular(poly, x) == expected
 
 
 def test_distance_to_singular_cube_frozen_from_edge_oracle():
@@ -284,11 +365,20 @@ def test_diophantine_matches_full_ball_oracle(data):
     assert next(v for v in cert.worst_m if v) < 0
 
 
-@pytest.mark.parametrize("d,bound,block", [(1, 9, 4), (2, 5, 7), (3, 4, 13), (4, 3, 64), (3, 6, 8192)])
+@pytest.mark.parametrize("d,bound,block", [(1, 9, 4), (2, 5, 7), (3, 4, 13), (4, 3, 64), (3, 6, 8192),
+                                           (2, 6, 1), (2, 6, 5), (3, 4, 1), (3, 5, 5),
+                                           (4, 3, 1), (4, 4, 5)])
 def test_half_ball_blocks_list_the_negative_half_in_order(d, bound, block):
     blocks = list(G._l1_half_ball_blocks(d, bound, block=block))
     assert all(len(m) <= block for m, _ in blocks)
+    assert all(m.dtype == np.float64 and l1.dtype == np.int64 for m, l1 in blocks)
     M = np.concatenate([m for m, _ in blocks])
+    if 1 < d and block in (1, 5):
+        # some block starts and ends strictly inside one prefix's run: the rows
+        # just before and just after it share its prefix
+        starts = np.cumsum([0] + [len(m) for m, _ in blocks])
+        assert any(0 < a and b < len(M) and (M[a - 1:b + 1, :-1] == M[a, :-1]).all()
+                   for a, b in zip(starts[:-1], starts[1:]))
     ball = _full_ball(d, bound)
     half = ball[[next(v for v in m if v) < 0 for m in ball]]
     np.testing.assert_array_equal(M, half)
