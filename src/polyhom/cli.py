@@ -137,6 +137,8 @@ def _mode_equi(cfg, out, base):
     poly = geometry.load_polytope(_require_file(_resolve(base, cfg["polytope"]), "polytope"))
     g = periodic.load_periodic(_require_file(_resolve(base, cfg["periodic"]), "periodic data"))
     lambdas = [float(v) for v in cfg["lambdas"]]
+    if not lambdas:
+        raise ValidationError("lambdas must not be empty")
     harness.diophantine_warnings(poly, float(cfg.get("dioph_tau", 1.0)),
                                  cfg.get("dioph_bound", 200))
     rows = []

@@ -44,7 +44,7 @@ from .geometry import (
     distance_to_boundary,
     faces,
     polygon_from_vertices,
-    polygon_vertices,
+    polygon_sides,
 )
 
 
@@ -158,7 +158,7 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
         raise ValidationError("min_edge must be finite and positive")
     if max_vertices > 2**31:  # a side key holds two vertex indices, 32 bits each
         raise ValidationError("max_vertices must be at most 2**31")
-    verts = np.asarray(polygon_vertices(polygon))
+    verts, side_face = polygon_sides(polygon)
     centers = np.asarray(grading_centers if grading_centers is not None else verts, dtype=float)
     if not (centers.ndim == 2 and len(centers) and centers.shape[1] == 2
             and np.isfinite(centers).all()):
@@ -169,13 +169,6 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
     cross = x * yn - xn * y
     area = 0.5 * float(np.sum(cross))
     centroid = np.array([float(np.sum((x + xn) * cross)), float(np.sum((y + yn) * cross))]) / (6.0 * area)
-
-    # face tag per polygon side (midpoint against each half-space line)
-    normals, offsets = polygon.normals, polygon.offsets
-    side_face = []
-    for i in range(n):
-        mid = 0.5 * (verts[i] + verts[(i + 1) % n])
-        side_face.append(int(np.argmin(np.abs(normals @ mid - offsets))))
 
     fan_edges = [np.linalg.norm(verts[i] - centroid) for i in range(n)]
     side_lens = [np.linalg.norm(verts[(i + 1) % n] - verts[i]) for i in range(n)]

@@ -1,9 +1,12 @@
 """Convex polytopes as half-space intersections.
 
-Provides faces with explicit vertex descriptions (d = 2, 3), boundary and
-singular-set distances, interior dihedral angles, Diophantine certification
-of face normals by exhaustive lattice search, strips near face boundaries,
-and the lattice partition of a face into lifted cubes plus a small leftover.
+Provides faces with explicit vertex descriptions and their adjacency
+(d = 2, 3; faces of a d >= 4 polytope raise UnsupportedDimension), boundary
+and singular-set distances, interior dihedral angles, Diophantine
+certification of face normals by exhaustive lattice search, strips near face
+boundaries, and the lattice partition of a face into lifted cubes plus a
+small leftover. Construction, boundary distance and certification work in
+any d.
 
 Conventions: a polytope is D = {x : nu_j . x > c_j for all j} with unit
 normals nu_j pointing into the domain, so nu_j . x - c_j is the (exact)
@@ -116,33 +119,23 @@ class ConvexPolytope:
 class Face:
     """A (d-1)-dimensional flat portion of the boundary.
 
-    ``vertices`` is the ordered vertex description for d = 2 (two endpoints,
-    oriented counterclockwise along the polygon) and d = 3 (planar convex
-    polygon, counterclockwise about the inward normal); for d >= 4 only the
-    active-constraint description (index, normal, offset) is kept and
-    ``vertices`` is None.
+    ``vertices`` is the ordered vertex description: for d = 2 the two
+    endpoints, oriented counterclockwise along the polygon; for d = 3 a
+    planar convex polygon, counterclockwise about the inward normal.
     """
 
     index: int
     normal: np.ndarray
     offset: float
     dim: int
-    vertices: np.ndarray | None
+    vertices: np.ndarray
 
     @property
     def measure(self) -> float:
-        """(d-1)-dimensional Hausdorff measure (exact for d = 2, 3)."""
-        if self.vertices is None:
-            raise UnsupportedDimension("no vertex description for d >= 4 faces")
+        """(d-1)-dimensional Hausdorff measure, exact."""
         if self.dim == 2:
             return float(np.linalg.norm(self.vertices[1] - self.vertices[0]))
         return _planar_polygon_area(self.vertices)
-
-    @property
-    def centroid(self) -> np.ndarray:
-        if self.vertices is None:
-            raise UnsupportedDimension("no vertex description for d >= 4 faces")
-        return self.vertices.mean(axis=0)
 
     def on_hyperplane(self, y, tol: float = GEOM_TOL) -> bool:
         y = np.asarray(y, dtype=float)
@@ -153,11 +146,9 @@ class Face:
         y = np.asarray(y, dtype=float)
         if self.dim == 2:
             return float(min(np.linalg.norm(y - self.vertices[0]), np.linalg.norm(y - self.vertices[1])))
-        if self.dim == 3:
-            k = len(self.vertices)
-            return float(min(_point_segment_distance(y, self.vertices[i], self.vertices[(i + 1) % k])
-                             for i in range(k)))
-        raise UnsupportedDimension("relative-boundary distance implemented for d = 2, 3 only")
+        k = len(self.vertices)
+        return float(min(_point_segment_distance(y, self.vertices[i], self.vertices[(i + 1) % k])
+                         for i in range(k)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,6 +401,17 @@ def polygon_vertices(poly: ConvexPolytope) -> np.ndarray:
     return _readonly(keep[np.argsort(ang)])
 
 
+def polygon_sides(poly: ConvexPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex cycle and the half-space each side lies on.
+
+    Side i = (v_i, v_{i+1}) of ``polygon_vertices`` lies on half-space
+    argmin_j |nu_j . mid_i - c_j|, its midpoint's nearest bounding line.
+    """
+    verts = polygon_vertices(poly)
+    mid = 0.5 * (verts + np.roll(verts, -1, axis=0))
+    return verts, np.argmin(np.abs(mid @ poly.normals.T - poly.offsets), axis=1)
+
+
 def _planar_polygon_area(verts3d: np.ndarray) -> float:
     """Area of a planar polygon in R^3 via the cross-product shoelace."""
     v0 = verts3d[0]
@@ -486,11 +488,14 @@ def _face_polygon_3d(poly: ConvexPolytope, k: int) -> np.ndarray | None:
 def faces(poly: ConvexPolytope) -> tuple[Face, ...]:
     """One Face per half-space whose active set has positive (d-1)-measure.
 
-    Degenerate contacts (a vertex or lower-dimensional touch, including fully
-    redundant half-spaces) are dropped with a DegenerateFaceWarning. The
-    faces are computed on the first call for a polytope and kept on it
-    (``ConvexPolytope.faces``): later calls return the same tuple, and the
-    warning fires on the first call only.
+    Faces exist for d = 2 and 3; for d >= 4 this raises UnsupportedDimension.
+    A polygon's faces are its sides, each on the half-space ``polygon_sides``
+    names; a 3-polytope's are the bounding planes clipped by all other
+    half-spaces. Degenerate contacts (a vertex or lower-dimensional touch,
+    including fully redundant half-spaces) are dropped with a
+    DegenerateFaceWarning. The faces are computed on the first call for a
+    polytope and kept on it (``ConvexPolytope.faces``): later calls return
+    the same tuple, and the warning fires on the first call only.
     """
     return poly.faces
 
@@ -504,20 +509,17 @@ def _degenerate(j: int, shape: str) -> None:
 def _compute_faces(poly: ConvexPolytope) -> list[Face]:
     out: list[Face] = []
     if poly.dim == 2:
-        verts = polygon_vertices(poly)
+        verts, owner = polygon_sides(poly)
+        side = dict(zip(owner.tolist(), range(len(verts))))
+        if len(side) < len(verts):
+            raise ValidationError("a half-space lies along two polygon sides (collinear vertices)")
         for j, h in enumerate(poly.halfspaces):
-            on = [v for v in verts if abs(float(h.normal @ v) - h.offset) <= 1e-9]
-            if len(on) < 2:
+            if j not in side:
                 _degenerate(j, "polygon")
                 continue
-            t = np.array([h.normal[1], -h.normal[0]])  # CCW traversal direction
-            on.sort(key=lambda v: float(t @ v))
-            a, b = on[0], on[-1]
-            if np.linalg.norm(b - a) <= 1e-9:
-                _degenerate(j, "polygon")
-                continue
+            i = side[j]
             out.append(Face(index=j, normal=h.normal, offset=h.offset, dim=2,
-                            vertices=_readonly(np.array([a, b]))))
+                            vertices=_readonly(verts[[i, (i + 1) % len(verts)]])))
         return out
     if poly.dim == 3:
         for j, h in enumerate(poly.halfspaces):
@@ -528,23 +530,7 @@ def _compute_faces(poly: ConvexPolytope) -> list[Face]:
             out.append(Face(index=j, normal=h.normal, offset=h.offset, dim=3,
                             vertices=_readonly(vv)))
         return out
-    # general d: active-constraint description, existence certified by LP
-    for j, h in enumerate(poly.halfspaces):
-        others = [i for i in range(len(poly.halfspaces)) if i != j]
-        N = poly.normals[others]
-        c = poly.offsets[others]
-        d = poly.dim
-        # max t s.t. nu_j . x = c_j, nu_i . x - t >= c_i, t <= 1
-        A_ub = np.hstack([-N, np.ones((len(others), 1))])
-        res = linprog(np.r_[np.zeros(d), -1.0], A_ub=A_ub, b_ub=-c,
-                      A_eq=np.r_[h.normal, 0.0][None, :], b_eq=[h.offset],
-                      bounds=[(lo, hi) for lo, hi in poly.bbox] + [(None, 1.0)],
-                      method="highs")
-        if res.status != 0 or res.x is None or res.x[-1] <= GEOM_TOL:
-            _degenerate(j, "polytope")
-            continue
-        out.append(Face(index=j, normal=h.normal, offset=h.offset, dim=poly.dim, vertices=None))
-    return out
+    raise UnsupportedDimension("faces are computed for d = 2, 3 only")
 
 
 # ---------------------------------------------------------------------------
@@ -561,17 +547,14 @@ def distance_to_boundary(poly: ConvexPolytope, x) -> float:
 
 
 def polytope_edges(poly: ConvexPolytope) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Closed edges (1-dimensional faces) of a 3-D polytope."""
+    """Closed edges (1-dimensional faces) of a 3-D polytope.
+
+    One edge per adjacent face pair (``_adjacent_pairs``), in the pairs'
+    order: the first and last shared vertex, in the first face's cyclic order.
+    """
     if poly.dim != 3:
         raise UnsupportedDimension("edges enumerated for d = 3 only")
-    seen = {}
-    for f in faces(poly):
-        v = f.vertices
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            key = tuple(sorted((tuple(np.round(a, 9)), tuple(np.round(b, 9)))))
-            seen.setdefault(key, (a, b))
-    return list(seen.values())
+    return [(shared[0], shared[-1]) for _, _, shared in _adjacent_pairs(poly)]
 
 
 def distance_to_singular(poly: ConvexPolytope, x) -> float:
@@ -587,25 +570,30 @@ def distance_to_singular(poly: ConvexPolytope, x) -> float:
     raise UnsupportedDimension("singular-set distance implemented for d = 2, 3 only")
 
 
-def _adjacent_pairs(poly: ConvexPolytope) -> list[tuple[int, int]]:
+def _adjacent_pairs(poly: ConvexPolytope) -> list[tuple[int, int, np.ndarray]]:
+    """Adjacent faces (i, j, shared), i before j in face order, pairs in face order.
+
+    Two faces are adjacent when at least d - 1 vertices of the first lie
+    within 1e-9 of a vertex of the second (a shared vertex for d = 2, a
+    shared edge for d = 3); ``shared`` holds those vertices of the first
+    face, in its cyclic order. i and j are half-space indices.
+    """
     fs = faces(poly)
+    verts = np.concatenate([f.vertices for f in fs])
+    sizes = [len(f.vertices) for f in fs]
+    starts = np.cumsum([0] + sizes[:-1])
+    near = np.linalg.norm(verts[:, None] - verts[None], axis=-1) <= 1e-9
+    # hit[p, b]: vertex p lies within 1e-9 of some vertex of face b
+    hit = np.logical_or.reduceat(near, starts, axis=1)
+    count = np.add.reduceat(hit.astype(int), starts, axis=0)
     pairs = []
-    if poly.dim == 2:
-        for a in range(len(fs)):
-            for b in range(a + 1, len(fs)):
-                va, vb = fs[a].vertices, fs[b].vertices
-                if min(np.linalg.norm(p - q) for p in va for q in vb) <= 1e-9:
-                    pairs.append((fs[a].index, fs[b].index))
-        return pairs
-    if poly.dim == 3:
-        for a in range(len(fs)):
-            for b in range(a + 1, len(fs)):
-                va, vb = fs[a].vertices, fs[b].vertices
-                shared = sum(1 for p in va if min(np.linalg.norm(p - q) for q in vb) <= 1e-9)
-                if shared >= 2:
-                    pairs.append((fs[a].index, fs[b].index))
-        return pairs
-    raise UnsupportedDimension("adjacency implemented for d = 2, 3 only")
+    for a, b in zip(*np.nonzero(np.triu(count >= poly.dim - 1, 1))):
+        idx = np.flatnonzero(hit[starts[a]:starts[a] + sizes[a], b])
+        # begin after the widest cyclic gap: a run that wraps past the last vertex
+        gap = np.diff(idx, append=idx[0] + sizes[a])
+        idx = np.roll(idx, -1 - int(np.argmax(gap)))
+        pairs.append((fs[a].index, fs[b].index, fs[a].vertices[idx]))
+    return pairs
 
 
 def max_adjacent_angle(poly: ConvexPolytope) -> dict:
@@ -617,7 +605,7 @@ def max_adjacent_angle(poly: ConvexPolytope) -> dict:
     pi / omega at a corner of opening omega.
     """
     best = None
-    for i, j in _adjacent_pairs(poly):
+    for i, j, _ in _adjacent_pairs(poly):
         dot = float(np.clip(poly.halfspaces[i].normal @ poly.halfspaces[j].normal, -1.0, 1.0))
         omega = np.pi - np.arccos(dot)
         if best is None or omega > best[0]:
@@ -741,8 +729,6 @@ def face_strip_membership(face: Face, rho: float, y) -> bool:
     y = np.asarray(y, dtype=float)
     if not face.on_hyperplane(y):
         raise OffHyperplane("point is not on the face's hyperplane")
-    if face.vertices is None:
-        raise UnsupportedDimension("strip membership needs a vertex description (d = 2, 3)")
     if face.dim == 2:
         a, b = face.vertices
         t = b - a
@@ -788,7 +774,7 @@ def lattice_partition(face: Face, axis: int, rho: float) -> FacePartition:
         raise ValidationError(f"axis {axis} out of range for d = {d}")
     if abs(nu[axis]) <= 1e-12:
         raise ZeroNormalComponent(f"normal component {axis} vanishes; projection is not bijective")
-    if face.vertices is None or d not in (2, 3):
+    if d not in (2, 3):
         raise UnsupportedDimension("lattice partition implemented for d = 2, 3")
 
     snap = 1e-9

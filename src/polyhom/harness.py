@@ -49,6 +49,8 @@ class SweepConfig:
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
+        if not eps:
+            raise ValidationError("epsilons must not be empty")
         if any(e <= 0 for e in eps):
             raise ValidationError("epsilons must be positive")
         if any(a <= b for a, b in zip(eps, eps[1:])):
@@ -187,8 +189,10 @@ def probe_points_at_distances(polygon: ConvexPolytope, distances, face_index: in
     """
     verts = polygon_vertices(polygon)
     centroid = verts.mean(axis=0)
-    face = [f for f in faces(polygon) if f.index == face_index][0]
-    mid = face.vertices.mean(axis=0)
+    face = [f for f in faces(polygon) if f.index == face_index]
+    if not face:
+        raise ValidationError(f"face index {face_index} has no positive-measure face")
+    mid = face[0].vertices.mean(axis=0)
     d0 = distance_to_boundary(polygon, centroid)
     out = []
     for target in distances:
@@ -211,11 +215,16 @@ def diophantine_warnings(polytope: ConvexPolytope, tau: float, bound: int) -> li
     """Warn NonDiophantineWarning for each face normal that fails certification.
 
     Returns the warning messages in face order; a normal fails when some
-    nonzero m with |m|_1 <= bound is orthogonal to it.
+    nonzero m with |m|_1 <= bound is orthogonal to it. Opposite normals share
+    one search, since |m . (-nu)| = |m . nu| makes their certificates equal.
     """
     messages = []
+    certs = {}
     for f in faces(polytope):
-        cert = diophantine_check(f.normal, tau, bound)
+        key = max(tuple(f.normal), tuple(-f.normal))
+        if key not in certs:
+            certs[key] = diophantine_check(f.normal, tau, bound)
+        cert = certs[key]
         if cert.c_lower == 0.0:
             msg = (f"face {f.index} normal is non-Diophantine "
                    f"(annihilated by m = {cert.worst_m})")

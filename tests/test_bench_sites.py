@@ -54,15 +54,16 @@ def test_traced_solves_record_their_counts():
 
 def test_traced_diophantine_checks_record_both_sites():
     # harness looks diophantine_check up under its own name, geometry's
-    # callers under geometry's: four face checks plus one direct call
+    # callers under geometry's: one check per face normal up to sign (two
+    # for the square's four faces) plus one direct call
     tr = tracer.Tracer()
     with tracer.patched(tr, layers.sites()):
         with pytest.warns(NonDiophantineWarning):
             assert len(H.diophantine_warnings(G.unit_square(), 1.0, 10)) == 4
         G.diophantine_check(np.array([0.6, 0.8]), 1.0, 10)
     totals = tr.totals()
-    assert totals["geometry.diophantine_check"]["calls"] == 5
-    assert tr.counts["geometry.diophantine_check.vectors"] == 5 * layers.l1_ball_size(2, 10)
+    assert totals["geometry.diophantine_check"]["calls"] == 3
+    assert tr.counts["geometry.diophantine_check.vectors"] == 3 * layers.l1_ball_size(2, 10)
     assert not any(t["failed"] for t in totals.values())
 
 

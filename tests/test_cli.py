@@ -64,6 +64,30 @@ def test_non_integer_bound_is_validation_failure(tmp_path, capsys, golden_files,
     assert "bound must be an integer" in capsys.readouterr().err
 
 
+def _tangent_first_square(tmp_path):
+    # half-space 0 touches the unit square at the corner (1, 1) only
+    nu = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    hs = [G.HalfSpace(-nu, float(-nu @ [1.0, 1.0])), *G.unit_square().halfspaces]
+    return _write(tmp_path / "tangent.json", G.polytope_to_dict(G.build_polytope(hs)))
+
+
+@pytest.mark.parametrize("mode, doc, message", [
+    ("sweep", {"epsilons": [], "eta": 2.0}, "epsilons must not be empty"),
+    ("sweep", {"polytope": "tangent", "epsilons": [0.5], "eta": 2.0, "probe_distances": [0.1]},
+     "face index 0 has no positive-measure face"),
+    ("equi", {"lambdas": []}, "lambdas must not be empty"),
+])
+def test_config_edge_cases_are_validation_failures(tmp_path, capsys, golden_files, mode, doc,
+                                                   message):
+    poly, gpath = golden_files
+    if doc.get("polytope") == "tangent":
+        poly = _tangent_first_square(tmp_path)
+    cfg = _write(tmp_path / "c.json", {"schema": 1, "periodic": gpath, **doc, "polytope": poly})
+    assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
 def test_missing_config_is_validation_failure(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 1

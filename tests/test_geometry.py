@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyhom import fem as F
 from polyhom import geometry as G
 from polyhom.errors import (
     BadNormal,
@@ -166,6 +167,16 @@ def test_degenerate_face_warning_fires_on_the_first_call_only():
     assert again is first and caught == []
 
 
+def test_halfspace_along_two_polygon_sides_is_refused():
+    # tilted by 5e-10 about (0.5, 0): not a duplicate of the bottom side, but
+    # (0.5, 0) joins the vertex cycle and both halves of the side lie on y = 0
+    nu = np.array([np.sin(5e-10), np.cos(5e-10)])
+    poly = G.build_polytope(list(G.unit_square().halfspaces) + [G.HalfSpace(nu, 0.5 * nu[0])])
+    assert len(G.polygon_vertices(poly)) == 5
+    with pytest.raises(ValidationError, match="two polygon sides"):
+        G.faces(poly)
+
+
 @pytest.mark.parametrize("make,site,computed", [
     (G.golden_square, "polygon_vertices", 1),
     (G.unit_cube, "_face_polygon_3d", 6),
@@ -193,6 +204,7 @@ def test_faces_ccw_orientation():
 
 
 def test_general_dimension_faces_by_active_constraints():
+    # faces exist for d = 2, 3 only; the polytope itself still works in d = 4
     hs = []
     for i in range(4):
         lo = np.zeros(4)
@@ -200,9 +212,82 @@ def test_general_dimension_faces_by_active_constraints():
         hs.append(G.HalfSpace(lo, 0.0))
         hs.append(G.HalfSpace(-lo, -1.0))
     hypercube = G.build_polytope(hs)
-    fs = G.faces(hypercube)
-    assert len(fs) == 8
-    assert all(f.vertices is None for f in fs)
+    with pytest.raises(UnsupportedDimension):
+        G.faces(hypercube)
+    assert G.distance_to_boundary(hypercube, [0.5, 0.5, 0.5, 0.1]) == pytest.approx(0.1, abs=1e-12)
+    assert G.diophantine_check(hypercube.halfspaces[0].normal, 1.0, 3).c_lower == 0.0
+
+
+def _faces_by_vertex_filter(poly):
+    """Reference d = 2 faces by the earlier rule: the cycle vertices within
+    1e-9 of each line, sorted along it, first and last."""
+    out = []
+    for j, h in enumerate(poly.halfspaces):
+        on = [v for v in G.polygon_vertices(poly) if abs(float(h.normal @ v) - h.offset) <= 1e-9]
+        if len(on) < 2:
+            continue
+        t = np.array([h.normal[1], -h.normal[0]])
+        on.sort(key=lambda v: float(t @ v))
+        if np.linalg.norm(on[-1] - on[0]) > 1e-9:
+            out.append((j, np.array([on[0], on[-1]]).tobytes()))
+    return out
+
+
+def _adjacent_pairs_two_loops(poly):
+    """Reference adjacency by the earlier per-dimension loops."""
+    fs = G.faces(poly)
+    pairs = []
+    for a in range(len(fs)):
+        for b in range(a + 1, len(fs)):
+            va, vb = fs[a].vertices, fs[b].vertices
+            if poly.dim == 2:
+                adjacent = min(np.linalg.norm(p - q) for p in va for q in vb) <= 1e-9
+            else:
+                adjacent = sum(1 for p in va if min(np.linalg.norm(p - q) for q in vb) <= 1e-9) >= 2
+            if adjacent:
+                pairs.append((fs[a].index, fs[b].index))
+    return pairs
+
+
+def _oracle_polygons():
+    rng = np.random.default_rng(1501)
+    polys = [random_convex_polygon(rng, int(rng.integers(4, 30))) for _ in range(40)]
+    return polys + [G.unit_square(), G.golden_square(), G.regular_hexagon(),
+                    F.sector_polygon(2.0 * np.pi / 3.0), F.sector_polygon(0.9 * np.pi)]
+
+
+def test_polygon_faces_match_vertex_filter_rule():
+    for poly in _oracle_polygons():
+        assert [(f.index, f.vertices.tobytes()) for f in G.faces(poly)] == _faces_by_vertex_filter(poly)
+
+
+def test_adjacent_pairs_match_two_loop_rule():
+    rng = np.random.default_rng(1502)
+    polys = _oracle_polygons() + [random_convex_polytope_3d(rng, int(rng.integers(5, 20)))
+                                  for _ in range(15)] + [G.unit_cube()]
+    for poly in polys:
+        adjacency = G._adjacent_pairs(poly)
+        assert [(i, j) for i, j, _ in adjacency] == _adjacent_pairs_two_loops(poly)
+        for i, j, shared in adjacency:
+            assert len(shared) == poly.dim - 1
+            for h in (poly.halfspaces[i], poly.halfspaces[j]):
+                assert np.abs(shared @ h.normal - h.offset).max() <= 1e-9
+
+
+@pytest.mark.parametrize("seed,n_points", [(1280, 15), *((s, 6 + s % 14) for s in range(12))])
+def test_polytope_edges_satisfy_euler(seed, n_points):
+    # V - E + F = 2; at seed 1280 the two faces of one edge hold its endpoints
+    # on either side of a 9th-decimal rounding boundary
+    poly = random_convex_polytope_3d(np.random.default_rng(seed), n_points)
+    fs = G.faces(poly)
+    verts = []
+    for v in np.concatenate([f.vertices for f in fs]):
+        if not any(np.linalg.norm(v - w) <= 1e-9 for w in verts):
+            verts.append(v)
+    edges = G.polytope_edges(poly)
+    assert len(verts) - len(edges) + len(fs) == 2
+    if all(len(f.vertices) == 3 for f in fs):
+        assert 2 * len(edges) == 3 * len(fs)
 
 
 # -- distances ----------------------------------------------------------------

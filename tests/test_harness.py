@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,24 @@ def test_diophantine_warnings_one_per_axis_face():
     assert len(msgs) == 4
     assert [str(w.message) for w in caught] == msgs
     assert H.diophantine_warnings(G.golden_square(), 1.0, 200) == []
+
+
+@pytest.mark.parametrize("make,faces,searches", [(G.unit_square, 4, 2), (G.golden_square, 4, 2),
+                                                (G.unit_cube, 6, 3)])
+def test_diophantine_warnings_search_once_per_normal_up_to_sign(make, faces, searches,
+                                                               monkeypatch):
+    poly = make()
+    expected = [G.diophantine_check(f.normal, 1.0, 20) for f in G.faces(poly)]
+    calls = []
+    monkeypatch.setattr(H, "diophantine_check",
+                        lambda nu, *a: calls.append(nu) or G.diophantine_check(nu, *a))
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        msgs = H.diophantine_warnings(poly, 1.0, 20)
+    assert len(G.faces(poly)) == faces and len(calls) == searches
+    # the shared certificate is the one each face's own search gives
+    assert msgs == [f"face {f.index} normal is non-Diophantine (annihilated by m = {c.worst_m})"
+                    for f, c in zip(G.faces(poly), expected) if c.c_lower == 0.0]
 
 
 def test_sweep_failure_is_recorded_not_raised():
