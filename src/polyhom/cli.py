@@ -123,6 +123,8 @@ def _mode_osc(cfg, out, base):
                                   bounds=np.asarray(pd["bounds"], dtype=float))
     m = tuple(int(v) for v in cfg["m"])
     lambdas = [float(v) for v in cfg["lambdas"]]
+    if not lambdas:
+        raise ValidationError("lambdas must not be empty")
     env = oscillatory.decay_envelope(patch, m, lambdas, float(cfg["tau"]))
     csv_path = os.path.join(out, "envelope.csv")
     oscillatory.write_envelope_csv(csv_path, env)

@@ -18,6 +18,7 @@ are expected pre-scaled to diameter O(1).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -25,10 +26,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     BadNormal,
+    BudgetExceeded,
     DegenerateFaceWarning,
     DuplicateHalfSpace,
     EmptyInterior,
@@ -79,15 +80,16 @@ class ConvexPolytope:
     """Bounded intersection of half-spaces with nonempty interior.
 
     Construct through :func:`build_polytope`, which certifies boundedness and
-    strict feasibility; instances are immutable, so their faces are computed
-    once, on first use, and kept (``faces``).
+    strict feasibility and keeps the vertices; instances are immutable, so
+    their faces and a polygon's vertex cycle are computed once, on first
+    use, and kept (``faces``, ``cycle``).
     """
 
     dim: int
     halfspaces: tuple[HalfSpace, ...]
-    interior_point: np.ndarray
-    inradius: float
+    interior_point: np.ndarray  # the vertex mean
     bbox: np.ndarray  # (d, 2) coordinate ranges
+    vertices: np.ndarray  # (k, d), in the order build_polytope found them
 
     @property
     def normals(self) -> np.ndarray:
@@ -114,14 +116,21 @@ class ConvexPolytope:
         """The positive-measure faces; see :func:`faces`."""
         return tuple(_compute_faces(self))
 
+    @functools.cached_property
+    def cycle(self) -> np.ndarray:
+        """The vertices sorted by angle about the interior point; see :func:`polygon_vertices`."""
+        v, p = self.vertices, self.interior_point
+        return _readonly(v[np.argsort(np.arctan2(v[:, 1] - p[1], v[:, 0] - p[0]))])
+
 
 @dataclass(frozen=True, eq=False)
 class Face:
     """A (d-1)-dimensional flat portion of the boundary.
 
     ``vertices`` is the ordered vertex description: for d = 2 the two
-    endpoints, oriented counterclockwise along the polygon; for d = 3 a
-    planar convex polygon, counterclockwise about the inward normal.
+    endpoints, oriented counterclockwise along the polygon; for d = 3 the
+    polytope's vertices on the face's plane, a convex polygon ordered
+    counterclockwise about the inward normal.
     """
 
     index: int
@@ -214,12 +223,85 @@ class FacePartition:
 # construction and certification
 # ---------------------------------------------------------------------------
 
+_VERTEX_BUDGET = 250_000  # subsets of at most d bounding planes
+
+
+def _subsets(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n) as a row, in lexicographic (i-major) order."""
+    count = math.comb(n, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+
+
+def _vertices(N: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Vertices of {x : N x >= c}: each d-subset of its planes with
+    |det| > 1e-12 is solved, in i-major order and in batches of 2**18 // n
+    subsets (so each slack matrix stays small); the points whose slacks are
+    all >= -1e-9 are kept, less those within 1e-9 of an earlier kept one."""
+    idx = _subsets(*N.shape)
+    rows = max(1, 2**18 // len(N))
+    found = []
+    for block in (idx[i:i + rows] for i in range(0, len(idx), rows)):
+        block = block[np.abs(np.linalg.det(N[block])) > 1e-12]
+        pts = np.linalg.solve(N[block], c[block][:, :, None])[:, :, 0]
+        found.append(pts[(pts @ N.T - c).min(axis=1) >= -1e-9])
+    pts = np.concatenate(found)
+    keep = pts[:1]
+    for p in pts[1:]:
+        gap = keep - p
+        if not np.any(np.sqrt(np.vecdot(gap, gap)) <= 1e-9):
+            keep = np.vstack([keep, p])
+    return keep
+
+
+def _rays(N: np.ndarray) -> np.ndarray:
+    """Unit r with N r >= -GEOM_TOL orthogonal to d - 1 independent normals:
+    for full-rank N, every extreme ray of the recession cone {r : N r >= 0}.
+    The direction orthogonal to a (d-1)-subset B is the generalized cross
+    product r_k = (-1)^k det(B without column k), zero for a singular B."""
+    n, d = N.shape
+    B = N[_subsets(n, d - 1)]
+    r = np.stack([(-1) ** k * np.linalg.det(np.delete(B, k, axis=2)) for k in range(d)], axis=1)
+    norm = np.linalg.norm(r, axis=1)
+    r = r[norm > 1e-12] / norm[norm > 1e-12, None]
+    r = np.concatenate([r, -r])
+    return r[(r @ N.T).min(axis=1) >= -GEOM_TOL]
+
+
+def _certify(N: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and a strictly interior point of {x : N x >= c}.
+
+    Raises EmptyInterior when no point clears every plane by more than
+    GEOM_TOL, else Unbounded when the set holds a ray. The point is the
+    vertex mean plus the unit rays, a positive combination of all generators,
+    so it is interior unless the interior is empty. Normals spanning fewer
+    than d dimensions leave a line in the set; its interior is decided in
+    their span."""
+    rank = int(np.linalg.matrix_rank(N))
+    if rank < N.shape[1]:
+        _certify(N @ np.linalg.svd(N)[2][:rank].T, c)  # the rows stay unit vectors
+        raise Unbounded(f"the normals span only {rank} of {N.shape[1]} dimensions")
+    V = _vertices(N, c)
+    if not len(V):
+        raise EmptyInterior("no vertex: the half-spaces have no common point")
+    R = _rays(N)
+    x = V.mean(axis=0) + R.sum(axis=0)
+    if (N @ x - c).min() <= GEOM_TOL:
+        raise EmptyInterior("no strictly feasible point (interior empty or lower-dimensional)")
+    if len(R):
+        raise Unbounded("the recession cone has an extreme ray: the intersection is unbounded")
+    return V, x
+
+
 def build_polytope(halfspaces) -> ConvexPolytope:
     """Validate a half-space list into a certified bounded convex polytope.
 
-    Certification is by linear programming: a Chebyshev-style LP produces a
-    strictly interior point (or proves EmptyInterior), and per-coordinate
-    min/max LPs prove boundedness (or raise Unbounded) and give the bbox.
+    Certification is by exact vertex enumeration (``_certify``), without an
+    LP: an extreme ray of the recession cone raises Unbounded, and no vertex
+    or a vertex mean on the boundary raises EmptyInterior. The vertices are
+    kept on the polytope; the interior point is their mean and the bbox
+    their coordinate range. More than 250,000 subsets of at most d planes
+    raise BudgetExceeded before any is formed.
     """
     hs = tuple(h if isinstance(h, HalfSpace) else HalfSpace(*h) for h in halfspaces)
     if not hs:
@@ -229,44 +311,22 @@ def build_polytope(halfspaces) -> ConvexPolytope:
         raise ValidationError("dimension must be >= 2")
     if any(h.dim != d for h in hs):
         raise ValidationError("all half-spaces must share one dimension")
+    if math.comb(len(hs), min(d, len(hs) // 2)) > _VERTEX_BUDGET:  # the largest C(n, k), k <= d
+        raise BudgetExceeded(f"{len(hs)} half-spaces in d = {d}: more than {_VERTEX_BUDGET} "
+                             "plane subsets to solve for vertices")
 
     N = np.array([h.normal for h in hs])
     c = np.array([h.offset for h in hs])
-    n = len(hs)
     same = ((np.abs(N[:, None] - N[None]).max(axis=2) <= GEOM_TOL)
             & (np.abs(c[:, None] - c[None]) <= GEOM_TOL))
     i, j = np.nonzero(np.triu(same, 1))  # row-major: the first pair in i-major order
     if i.size:
         raise DuplicateHalfSpace(f"half-spaces {i[0]} and {j[0]} coincide within tolerance")
 
-    # max t  s.t.  nu_j . x - t >= c_j, t <= 1  (t* = inradius when t* < 1)
-    A_ub = np.hstack([-N, np.ones((n, 1))])
-    res = linprog(np.r_[np.zeros(d), -1.0], A_ub=A_ub, b_ub=-c,
-                  bounds=[(None, None)] * d + [(None, 1.0)], method="highs")
-    if res.status == 3:
-        # objective bounded by t <= 1, so unboundedness can only be reported
-        # through the coordinate LPs below; treat defensively
-        raise Unbounded("feasibility LP unbounded")
-    if res.status != 0 or res.x is None or res.x[-1] <= GEOM_TOL:
-        raise EmptyInterior("no strictly feasible point (interior empty or lower-dimensional)")
-    interior = res.x[:d]
-    inradius = float(res.x[-1])
-
-    bbox = np.empty((d, 2))
-    for i in range(d):
-        for sign, col in ((1.0, 0), (-1.0, 1)):
-            obj = np.zeros(d)
-            obj[i] = sign
-            r = linprog(obj, A_ub=-N, b_ub=-c, bounds=[(None, None)] * d, method="highs")
-            if r.status == 3:
-                raise Unbounded(f"coordinate {i} is unbounded over the intersection")
-            if r.status != 0:
-                raise ValidationError(f"boundedness LP failed with status {r.status}")
-            # obj = +e_i gives min x_i, obj = -e_i gives -max x_i
-            bbox[i, col] = sign * r.fun
-
+    V, interior = _certify(N, c)
     return ConvexPolytope(dim=d, halfspaces=hs, interior_point=_readonly(interior),
-                          inradius=inradius, bbox=_readonly(bbox))
+                          bbox=_readonly(np.stack([V.min(axis=0), V.max(axis=0)], axis=1)),
+                          vertices=_readonly(V))
 
 
 def load_polytope(source) -> ConvexPolytope:
@@ -378,27 +438,11 @@ def unit_cube() -> ConvexPolytope:
 # ---------------------------------------------------------------------------
 
 def polygon_vertices(poly: ConvexPolytope) -> np.ndarray:
-    """Counterclockwise vertex cycle of a 2-D polytope."""
+    """Counterclockwise vertex cycle of a 2-D polytope, sorted once and kept
+    (``ConvexPolytope.cycle``): every call returns the same read-only array."""
     if poly.dim != 2:
         raise UnsupportedDimension("vertex cycle is for d = 2")
-    N, c = poly.normals, poly.offsets
-    i, j = np.triu_indices(len(N), 1)  # every pair of lines, i-major
-    A = np.stack([N[i], N[j]], axis=1)
-    det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-    crossing = np.abs(det) > 1e-12
-    i, j, A = i[crossing], j[crossing], A[crossing]
-    pts = np.linalg.solve(A, np.stack([c[i], c[j]], axis=1)[:, :, None])[:, :, 0]
-    pts = pts[(pts @ N.T - c).min(axis=1) >= -1e-9]
-    if len(pts) < 3:
-        raise ValidationError("fewer than three vertices found")
-    # dedupe within 1e-9, keeping the first of each cluster
-    keep = pts[:1]
-    for p in pts[1:]:
-        d = keep - p
-        if not np.any(np.sqrt(np.vecdot(d, d)) <= 1e-9):
-            keep = np.vstack([keep, p])
-    ang = np.arctan2(keep[:, 1] - poly.interior_point[1], keep[:, 0] - poly.interior_point[0])
-    return _readonly(keep[np.argsort(ang)])
+    return poly.cycle
 
 
 def polygon_sides(poly: ConvexPolytope) -> tuple[np.ndarray, np.ndarray]:
@@ -428,16 +472,6 @@ def _point_segment_distance(p, a, b) -> float:
     return float(np.linalg.norm(p - (a + t * ab)))
 
 
-def _plane_basis(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal in-plane basis (e1, e2) with (e1, e2, nu) right-handed."""
-    a = np.zeros(3)
-    a[int(np.argmin(np.abs(nu)))] = 1.0
-    e1 = np.cross(nu, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(nu, e1)
-    return e1, e2
-
-
 def _clip_halfplane(pts: list[np.ndarray], a: np.ndarray, b: float) -> list[np.ndarray]:
     """Sutherland-Hodgman step keeping {u : a . u <= b}."""
     out: list[np.ndarray] = []
@@ -460,29 +494,14 @@ def _clip_halfplane(pts: list[np.ndarray], a: np.ndarray, b: float) -> list[np.n
 
 
 def _face_polygon_3d(poly: ConvexPolytope, k: int) -> np.ndarray | None:
-    """Clip the k-th bounding plane by all other half-spaces; CCW about nu_k."""
+    """The kept vertices on the k-th bounding plane, CCW about nu_k; None without area."""
     nu = poly.halfspaces[k].normal
-    c = poly.halfspaces[k].offset
-    p0 = c * nu
-    e1, e2 = _plane_basis(nu)
-    R = poly.diameter + np.linalg.norm(p0 - poly.interior_point) + 1.0
-    pts = [np.array([-R, -R]), np.array([R, -R]), np.array([R, R]), np.array([-R, R])]
-    for j, h in enumerate(poly.halfspaces):
-        if j == k:
-            continue
-        # h.normal . (p0 + u1 e1 + u2 e2) >= h.offset  ->  a . u <= b
-        a = -np.array([float(h.normal @ e1), float(h.normal @ e2)])
-        b = float(h.normal @ p0) - h.offset
-        pts = _clip_halfplane(pts, a, b)
-        if len(pts) < 3:
-            return None
-    uv = np.array(pts)
-    area2 = 0.5 * np.sum(uv[:, 0] * np.roll(uv[:, 1], -1) - np.roll(uv[:, 0], -1) * uv[:, 1])
-    if area2 < 0:
-        uv = uv[::-1]
-    if abs(area2) <= 1e-12:
+    v = poly.vertices[np.abs(poly.vertices @ nu - poly.halfspaces[k].offset) <= 1e-9]
+    if len(v) < 3:
         return None
-    return p0 + uv[:, :1] * e1 + uv[:, 1:] * e2
+    rel = v - v.mean(axis=0)  # angles from rel[0], counterclockwise about nu
+    v = v[np.argsort(np.arctan2(rel @ np.cross(nu, rel[0]), rel @ rel[0]))]
+    return v if _planar_polygon_area(v) > 1e-12 else None
 
 
 def faces(poly: ConvexPolytope) -> tuple[Face, ...]:
@@ -490,8 +509,8 @@ def faces(poly: ConvexPolytope) -> tuple[Face, ...]:
 
     Faces exist for d = 2 and 3; for d >= 4 this raises UnsupportedDimension.
     A polygon's faces are its sides, each on the half-space ``polygon_sides``
-    names; a 3-polytope's are the bounding planes clipped by all other
-    half-spaces. Degenerate contacts (a vertex or lower-dimensional touch,
+    names; a 3-polytope's are the kept vertices on each bounding plane, in
+    counterclockwise order (``_face_polygon_3d``). Degenerate contacts (a vertex or lower-dimensional touch,
     including fully redundant half-spaces) are dropped with a
     DegenerateFaceWarning. The faces are computed on the first call for a
     polytope and kept on it (``ConvexPolytope.faces``): later calls return

@@ -76,6 +76,8 @@ def _tangent_first_square(tmp_path):
     ("sweep", {"polytope": "tangent", "epsilons": [0.5], "eta": 2.0, "probe_distances": [0.1]},
      "face index 0 has no positive-measure face"),
     ("equi", {"lambdas": []}, "lambdas must not be empty"),
+    ("osc", {"patch": {"normal": [0.6, 0.8], "offset": 0.0, "axis": 0, "bounds": [[0.0, 1.0]]},
+             "m": [1, -1], "lambdas": [], "tau": 1.0}, "lambdas must not be empty"),
 ])
 def test_config_edge_cases_are_validation_failures(tmp_path, capsys, golden_files, mode, doc,
                                                    message):

@@ -1,5 +1,9 @@
 import itertools
 import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -7,11 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from polyhom import fem as F
 from polyhom import geometry as G
 from polyhom.errors import (
     BadNormal,
+    BudgetExceeded,
     DegenerateFaceWarning,
     DuplicateHalfSpace,
     EmptyInterior,
@@ -34,7 +40,7 @@ SQRT2 = np.sqrt(2.0)
 def test_unit_square_builds():
     sq = G.unit_square()
     assert sq.dim == 2 and len(sq.halfspaces) == 4
-    assert sq.inradius == pytest.approx(0.5, abs=1e-9)
+    assert G.distance_to_boundary(sq, sq.interior_point) == 0.5
 
 
 def test_open_cone_is_unbounded():
@@ -111,6 +117,140 @@ def test_duplicate_halfspace_matches_pairwise_scan(seed):
         assert expected is None
     else:
         assert expected is None
+
+
+def _lp_certify(hs):
+    """Reference certification by linear programming: a Chebyshev-style LP
+    for a strictly interior point, then min/max LPs per coordinate inside the
+    box |x_i| <= 1e4, an optimum on the box meaning unbounded (HiGHS reports
+    some unbounded coordinate LPs as infeasible). Returns the error class
+    build_polytope should raise, or the bbox."""
+    from scipy.optimize import linprog  # test-only oracle
+
+    N = np.array([h.normal for h in hs])
+    c = np.array([h.offset for h in hs])
+    n, d = N.shape
+    res = linprog(np.r_[np.zeros(d), -1.0], A_ub=np.hstack([-N, np.ones((n, 1))]), b_ub=-c,
+                  bounds=[(None, None)] * d + [(None, 1.0)], method="highs")
+    if res.status != 0 or res.x[-1] <= G.GEOM_TOL:
+        return EmptyInterior
+    bbox = np.empty((d, 2))
+    for i in range(d):
+        for sign, col in ((1.0, 0), (-1.0, 1)):
+            r = linprog(sign * np.eye(d)[i], A_ub=-N, b_ub=-c, bounds=[(-1e4, 1e4)] * d,
+                        method="highs")
+            assert r.status == 0
+            if abs(r.fun) >= 1e4 - 1.0:
+                return Unbounded
+            bbox[i, col] = sign * r.fun
+    return bbox
+
+
+def _unit(rng, d, k=None):
+    v = rng.standard_normal((k or 1, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v if k else v[0]
+
+
+def _random_system(rng, d, kind):
+    """Half-spaces of one kind: random (bounded or not), a cone, a strip,
+    normals spanning fewer than d dimensions, or an empty or flat set."""
+    if kind == "random":  # the origin is inside; bounded iff the normals positively span
+        return [(nu, -rng.uniform(0.2, 1.0)) for nu in _unit(rng, d, int(rng.integers(d + 1, 9)))]
+    if kind == "cone":
+        apex = rng.uniform(-1.0, 1.0, d)
+        return [(nu, float(nu @ apex)) for nu in _unit(rng, d, d)]
+    if kind == "strip":  # two parallel planes plus planes that leave one side open
+        nu = _unit(rng, d)
+        extra = [v if v @ nu > 0.3 else -v for v in _unit(rng, d, d - 1)]
+        return [(nu, -0.5), (-nu, -0.5)] + [(v, -rng.uniform(0.2, 1.0)) for v in extra]
+    if kind == "low_rank":  # every normal in one (d-1)-dimensional subspace
+        basis = _unit(rng, d, d - 1)
+        nus = rng.standard_normal((int(rng.integers(d, 7)), d - 1)) @ basis
+        hs = [(nu / np.linalg.norm(nu), -rng.uniform(0.2, 1.0)) for nu in nus]
+        if rng.random() < 0.5:  # nu_0 . x <= c_0 - delta: empty
+            hs += [(-hs[0][0], -hs[0][1] + rng.uniform(0.1, 0.5))]
+        return hs
+    # "empty" or "flat": nu . x >= 0.1 and nu . x <= 0.1 - gap, with gap > 0 or 0
+    hs = [(nu, -rng.uniform(0.2, 1.0)) for nu in _unit(rng, d, int(rng.integers(1, 12)))]
+    nu = _unit(rng, d)
+    gap = rng.uniform(0.01, 0.5) if kind == "empty" else 0.0
+    return hs + [(nu, 0.1), (-nu, gap - 0.1)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["random", "cone", "strip", "low_rank", "empty", "flat"])
+def test_certification_matches_linear_programming(d, kind):
+    rng = np.random.default_rng(1600 + 10 * d + len(kind))
+    for _ in range(25):
+        hs = [G.HalfSpace(nu, float(c)) for nu, c in _random_system(rng, d, kind)]
+        expected = _lp_certify(hs)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                G.build_polytope(hs)
+            continue
+        poly = G.build_polytope(hs)
+        np.testing.assert_allclose(poly.bbox, expected, rtol=0.0, atol=1e-9)
+        assert G.distance_to_boundary(poly, poly.interior_point) > G.GEOM_TOL
+        assert np.abs(poly.interior_point - poly.vertices.mean(axis=0)).max() == 0.0
+        assert (poly.vertices @ poly.normals.T - poly.offsets).min() >= -1e-9
+
+
+@pytest.mark.parametrize("kind,d", [("random", 2), ("random", 3), ("cone", 2), ("cone", 3),
+                                    ("strip", 2), ("strip", 3), ("low_rank", 2), ("low_rank", 3),
+                                    ("empty", 2), ("empty", 3), ("flat", 2), ("flat", 3)])
+def test_certification_draws_cover_every_outcome(kind, d):
+    # the draws compared above meet each outcome their kind is meant for
+    rng = np.random.default_rng(1600 + 10 * d + len(kind))
+    outcomes = set()
+    for _ in range(25):
+        got = _lp_certify([G.HalfSpace(nu, float(c)) for nu, c in _random_system(rng, d, kind)])
+        outcomes.add(got if isinstance(got, type) else "bounded")
+    assert outcomes == {"random": {"bounded", Unbounded}, "cone": {Unbounded},
+                        "strip": {Unbounded}, "low_rank": {Unbounded, EmptyInterior},
+                        "empty": {EmptyInterior}, "flat": {EmptyInterior}}[kind]
+
+
+def test_vertices_match_the_convex_hull():
+    rng = np.random.default_rng(1603)
+    for _ in range(10):
+        pts = rng.standard_normal((12, 3)) * rng.uniform(0.7, 1.0, size=(12, 1))
+        hull = ConvexHull(pts)
+        poly = G.build_polytope([G.HalfSpace(-eq[:3] / np.linalg.norm(eq[:3]), float(eq[3]))
+                                 for eq in hull.equations])
+        corners = pts[hull.vertices]
+        assert len(poly.vertices) == len(corners)
+        for v in poly.vertices:
+            assert np.linalg.norm(corners - v, axis=1).min() <= 1e-9
+
+
+def test_vertex_budget_raises_before_solving(monkeypatch):
+    def solve_nothing(*args):
+        raise AssertionError("the over-budget system was enumerated")
+
+    monkeypatch.setattr(G, "_vertices", solve_nothing)
+    for d, n in ((2, 708), (3, 116)):  # C(707, 2) and C(115, 3) fit in the budget
+        assert math.comb(n - 1, d) <= G._VERTEX_BUDGET < math.comb(n, d)
+        hs = [G.HalfSpace(nu, -1.0) for nu in _unit(np.random.default_rng(d), d, n)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="plane subsets"):
+                G.build_polytope(hs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # certification solves no LP; importing scipy.optimize roughly doubled
+    # the package's start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(G.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, polyhom; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_json_roundtrip_and_renormalization_warning(tmp_path):
@@ -196,6 +336,15 @@ def test_faces_are_computed_once_per_polytope(make, site, computed, monkeypatch)
     assert G.faces(make()) is not fs and len(calls) == 2 * computed  # a new polytope computes afresh
 
 
+def test_polygon_vertex_cycle_is_kept_read_only():
+    poly = F.sector_polygon(2.0 * np.pi / 3.0)
+    cycle = G.polygon_vertices(poly)
+    assert G.polygon_vertices(poly) is cycle and G.polygon_sides(poly)[0] is cycle
+    assert not cycle.flags.writeable and len(cycle) == 66
+    with pytest.raises(ValueError):
+        cycle[0, 0] = 1.0
+
+
 def test_faces_ccw_orientation():
     for f in G.faces(G.unit_square()):
         a, b = f.vertices
@@ -259,6 +408,59 @@ def _oracle_polygons():
 def test_polygon_faces_match_vertex_filter_rule():
     for poly in _oracle_polygons():
         assert [(f.index, f.vertices.tobytes()) for f in G.faces(poly)] == _faces_by_vertex_filter(poly)
+
+
+def _polygon_vertices_by_pairs(poly):
+    """Reference vertex cycle by the earlier per-call rule: every pair of
+    lines solved, feasible points deduplicated in order, sorted by angle."""
+    N, c = poly.normals, poly.offsets
+    pts = []
+    for i, j in itertools.combinations(range(len(N)), 2):
+        A = np.array([N[i], N[j]])
+        if abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) > 1e-12:
+            p = np.linalg.solve(A[None], np.array([[[c[i]], [c[j]]]]))[0, :, 0]
+            if (N @ p - c).min() >= -1e-9 and all(np.linalg.norm(p - q) > 1e-9 for q in pts):
+                pts.append(p)
+    pts = np.array(pts)
+    x = poly.interior_point
+    return pts[np.argsort(np.arctan2(pts[:, 1] - x[1], pts[:, 0] - x[0]))]
+
+
+def test_polygon_vertices_match_pairwise_rule():
+    for poly in _oracle_polygons():
+        assert G.polygon_vertices(poly).tobytes() == _polygon_vertices_by_pairs(poly).tobytes()
+
+
+def _face_polygon_by_clipping(poly, k):
+    """Reference 3-D face by the earlier rule: a large square on plane k
+    clipped by every other half-space (Sutherland-Hodgman)."""
+    h = poly.halfspaces[k]
+    a = np.zeros(3)
+    a[int(np.argmin(np.abs(h.normal)))] = 1.0
+    e1 = np.cross(h.normal, a)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(h.normal, e1)
+    p0 = h.offset * h.normal
+    R = poly.diameter + np.linalg.norm(p0 - poly.interior_point) + 1.0
+    pts = [np.array(u, dtype=float) for u in ((-R, -R), (R, -R), (R, R), (-R, R))]
+    for j, g in enumerate(poly.halfspaces):
+        if j != k:
+            pts = G._clip_halfplane(pts, -np.array([g.normal @ e1, g.normal @ e2]),
+                                    float(g.normal @ p0) - g.offset)
+    return p0 + np.array(pts) @ np.array([e1, e2]) if len(pts) >= 3 else None
+
+
+def test_3d_faces_match_clipping_rule_up_to_roundoff():
+    rng = np.random.default_rng(1604)
+    polys = [random_convex_polytope_3d(rng, int(rng.integers(5, 20))) for _ in range(15)]
+    for poly in polys + [G.unit_cube()]:
+        fs = G.faces(poly)
+        assert len(fs) == len(poly.halfspaces)
+        for f in fs:
+            ref = _face_polygon_by_clipping(poly, f.index)
+            # the same cycle, from another start vertex
+            start = int(np.argmin(np.linalg.norm(ref - f.vertices[0], axis=1)))
+            np.testing.assert_allclose(np.roll(ref, -start, axis=0), f.vertices, rtol=0, atol=1e-12)
 
 
 def test_adjacent_pairs_match_two_loop_rule():
