@@ -244,6 +244,8 @@ def _mode_sweep(cfg, out, base):
 
 
 def _mode_corner(cfg, out, base):
+    if not cfg["omegas"]:
+        raise ValidationError("omegas must not be empty")
     rows = []
     for omega in cfg["omegas"]:
         r = fem.corner_probe(float(omega), h=float(cfg.get("h", 0.05)),

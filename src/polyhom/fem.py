@@ -41,7 +41,9 @@ from .errors import (
 )
 from .geometry import (
     ConvexPolytope,
+    _segment_distances,
     distance_to_boundary,
+    distance_to_singular,
     faces,
     polygon_from_vertices,
     polygon_sides,
@@ -774,7 +776,7 @@ def write_solution_csv(path, sol: FemSolution) -> None:
 # ---------------------------------------------------------------------------
 
 def harmonic_measure(polygon: ConvexPolytope, A: CoefficientField, patch, x,
-                     mesh: TriMesh, config: SolverConfig = SolverConfig()) -> float:
+                     mesh: TriMesh) -> float:
     """omega(x, patch): solve on ``mesh`` with data 1 on patch nodes, 0 elsewhere.
 
     ``patch`` is a predicate on boundary points; positivity of the kernel
@@ -783,7 +785,7 @@ def harmonic_measure(polygon: ConvexPolytope, A: CoefficientField, patch, x,
     problem = DirichletProblem(
         polygon=polygon, coefficients=A,
         explicit_data=lambda pts: np.array([1.0 if patch(p) else 0.0 for p in pts]))
-    return float(evaluate_solution(solve_dirichlet(problem, mesh, config), x))
+    return float(evaluate_solution(solve_dirichlet(problem, mesh), x))
 
 
 def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
@@ -793,12 +795,14 @@ def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
     One adjoint solve gives the discrete Poisson kernel at x: with w the
     barycentric weights of x on the nodes, every discrete solution has
     u(x) = mu . u_b for mu = -Kib^T Kii^-1 w_i + w_b (Kii is symmetric), so
-    omega(x, arc) is the sum of mu over the arc's nodes. Faces are split
-    into equal arcs (dyadic counts align exactly with the uniformly refined
-    fan, so arc indicators are resolved by mesh nodes); the max ratio is
-    the measured constant of the kernel bound. ``iterations`` and
-    ``residual`` are those of the adjoint CG solve.
+    omega(x, arc) is the sum of mu over the arc's nodes. Each face has n =
+    ``arcs_per_face`` equal half-open arcs; a node at face parameter t is in
+    arc floor((t + 1e-12) n), so a shared corner is arc 0 of the next face and
+    dyadic n align with the fan's nodes. The max ratio is the bound's measured
+    constant; ``iterations`` and ``residual`` are those of the adjoint CG solve.
     """
+    if not (isinstance(arcs_per_face, (int, np.integer)) and arcs_per_face >= 1):
+        raise ValidationError("arcs_per_face must be a positive integer")
     x = np.asarray(x, dtype=float)
     fs = faces(polygon)
     if h is None:
@@ -813,26 +817,20 @@ def kernel_bound_probe(polygon: ConvexPolytope, A: CoefficientField, x,
     bpts = mesh.vertices[system.boundary]
     dx = distance_to_boundary(polygon, x)
 
-    ratios = []
+    n = arcs_per_face
+    omega, ends = [], []
     for f in fs:
-        va, vb_ = f.vertices
-        tvals = ((bpts - va) @ (vb_ - va)) / float((vb_ - va) @ (vb_ - va))
-        on_face = np.abs(bpts @ f.normal - f.offset) <= 1e-10
-        for i in range(arcs_per_face):
-            t0, t1 = i / arcs_per_face, (i + 1) / arcs_per_face
-            p0 = va + t0 * (vb_ - va)
-            p1 = va + t1 * (vb_ - va)
-            # nodes on this face within the half-open [t0, t1), so the arcs
-            # partition the boundary nodes exactly (a shared corner node
-            # belongs to the next face's arc 0)
-            inside = on_face & (tvals >= t0 - 1e-12) & (tvals < t1 - 1e-12)
-            omega = float(mu[inside].sum())
-            seg = p1 - p0
-            ell = float(np.linalg.norm(seg))
-            t = float(np.clip(((x - p0) @ seg) / (seg @ seg), 0.0, 1.0))
-            dist = float(np.linalg.norm(x - (p0 + t * seg)))
-            ratios.append(omega / (ell * dx / dist ** 2))
-    return {"ratios": np.array(ratios), "max_ratio": float(np.max(ratios)),
+        va, vb = f.vertices
+        t = ((bpts - va) @ (vb - va)) / float((vb - va) @ (vb - va))
+        arc = np.floor((t + 1e-12) * n)
+        keep = (np.abs(bpts @ f.normal - f.offset) <= 1e-10) & (arc >= 0) & (arc < n)
+        omega.append(np.bincount(arc[keep].astype(int), weights=mu[keep], minlength=n))
+        ends.append(va + (np.arange(n + 1) / n)[:, None] * (vb - va))
+    ends = np.array(ends)  # (faces, n + 1, 2)
+    p0, p1 = ends[:, :-1].reshape(-1, 2), ends[:, 1:].reshape(-1, 2)
+    ell, dist = np.linalg.norm(p1 - p0, axis=1), _segment_distances(x, p0, p1)
+    ratios = np.concatenate(omega) / (ell * dx / dist ** 2)
+    return {"ratios": ratios, "max_ratio": float(np.max(ratios)),
             "arcs_per_face": arcs_per_face, "h": h,
             "iterations": iterations, "residual": residual}
 
@@ -846,64 +844,61 @@ def sector_polygon(omega: float, arc_segments: int = 64) -> ConvexPolytope:
     return polygon_from_vertices(verts)
 
 
+# the probes' sample radii along a ray from a corner
+_RADII = [2.0 ** (-j) for j in range(2, 8)]
+
+
+def _ray_solve(polygon: ConvexPolytope, A: CoefficientField, data, corner: np.ndarray,
+               direction: np.ndarray, h: float, grading: float):
+    """Solve on a mesh graded toward ``corner`` with floor h (min r / diam)^grading / 4.
+
+    Returns the solution and the points corner + r direction for r in ``_RADII``.
+    """
+    floor = h * (min(_RADII) / polygon.diameter) ** grading / 4.0
+    mesh = triangulate(polygon, h, grading=grading, grading_centers=corner[None, :],
+                       min_edge=floor)
+    problem = DirichletProblem(polygon=polygon, coefficients=A, explicit_data=data)
+    return solve_dirichlet(problem, mesh), [corner + r * direction for r in _RADII]
+
+
 def corner_probe(omega: float, h: float = 0.05, grading: float = 1.0,
-                 arc_segments: int = 64, radii=None,
-                 config: SolverConfig = SolverConfig()) -> dict:
+                 arc_segments: int = 64) -> dict:
     """Fitted growth exponent of the harmonic measure of the arc near the apex.
 
     Solves with zero data on the two radii and 1 on the arc of a radius-1
-    sector, samples along the bisector at dyadic radii, and returns the
-    least-squares slope of log u against log r (theory: pi / omega).
+    sector, samples along the bisector at r = 2^-2, ..., 2^-7, and returns
+    the least-squares slope of log u against log r (theory: pi / omega).
     """
     from .harness import fit_rate  # harness imports fem
 
-    if radii is None:
-        radii = [2.0 ** (-j) for j in range(2, 8)]
     poly = sector_polygon(omega, arc_segments)
-    floor = h * (min(radii) / poly.diameter) ** grading / 4.0
-    mesh = triangulate(poly, h, grading=grading, grading_centers=np.array([[0.0, 0.0]]),
-                       min_edge=floor)
-    hs = poly.halfspaces
-    radius_faces = [0, len(hs) - 1]  # edges touching the apex in vertex order
+    sides = poly.halfspaces[0], poly.halfspaces[-1]  # the radii: edges touching the apex
 
-    def on_radius(y):
-        return any(abs(float(hs[i].normal @ y) - hs[i].offset) <= 1e-10 for i in radius_faces)
+    def data(pts):
+        return np.where(np.any([np.abs(pts @ f.normal - f.offset) <= 1e-10 for f in sides],
+                               axis=0), 0.0, 1.0)
 
-    problem = DirichletProblem(
-        polygon=poly, coefficients=CoefficientField.identity(),
-        explicit_data=lambda pts: np.array([0.0 if on_radius(p) else 1.0 for p in pts]))
-    sol = solve_dirichlet(problem, mesh, config)
-    direction = np.array([np.cos(omega / 2.0), np.sin(omega / 2.0)])
-    samples = [(float(r), float(np.real(evaluate_solution(sol, r * direction))))
-               for r in radii]
+    sol, points = _ray_solve(poly, CoefficientField.identity(), data, np.zeros(2),
+                             np.array([np.cos(omega / 2.0), np.sin(omega / 2.0)]), h, grading)
+    samples = [(r, float(np.real(evaluate_solution(sol, p)))) for r, p in zip(_RADII, points)]
     fit = fit_rate([(r, v) for r, v in samples if v > 0])
     return {"omega": float(omega), "fitted_exponent": fit.exponent, "stderr": fit.stderr,
-            "samples": samples, "mesh_vertices": len(mesh.vertices)}
+            "samples": samples, "mesh_vertices": len(sol.mesh.vertices)}
 
 
 def gradient_probe(polygon: ConvexPolytope, A: CoefficientField, data_fn, corner,
-                   direction, radii=None, h: float = 0.05, grading: float = 1.0,
-                   config: SolverConfig = SolverConfig()) -> list:
+                   direction, h: float = 0.05, grading: float = 1.0) -> list:
     """Sampled (d_*(x), |grad u(x)|) pairs along a ray from a corner.
 
-    The boundary data must vanish on the faces incident to the probed corner
-    so the solution obeys the corner barrier there.
+    The samples sit at r = 2^-2, ..., 2^-7 along ``direction``. The boundary
+    data must vanish on the faces incident to the probed corner so the
+    solution obeys the corner barrier there.
     """
-    from .geometry import distance_to_singular
-
     corner = np.asarray(corner, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    if radii is None:
-        radii = [2.0 ** (-j) for j in range(2, 8)]
-    floor = h * (min(radii) / polygon.diameter) ** grading / 4.0
-    mesh = triangulate(polygon, h, grading=grading,
-                       grading_centers=corner[None, :], min_edge=floor)
-    problem = DirichletProblem(polygon=polygon, coefficients=A, explicit_data=data_fn)
-    sol = solve_dirichlet(problem, mesh, config)
-    out = []
-    for r in radii:
-        x = corner + r * direction
-        g = evaluate_gradient(sol, x)
-        out.append((float(distance_to_singular(polygon, x)), float(np.linalg.norm(g))))
-    return out
+    length = np.linalg.norm(direction)
+    if not 0.0 < length < np.inf:
+        raise ValidationError("direction must be a nonzero finite vector")
+    sol, points = _ray_solve(polygon, A, data_fn, corner, direction / length, h, grading)
+    return [(float(distance_to_singular(polygon, x)),
+             float(np.linalg.norm(evaluate_gradient(sol, x)))) for x in points]

@@ -155,9 +155,8 @@ class Face:
         y = np.asarray(y, dtype=float)
         if self.dim == 2:
             return float(min(np.linalg.norm(y - self.vertices[0]), np.linalg.norm(y - self.vertices[1])))
-        k = len(self.vertices)
-        return float(min(_point_segment_distance(y, self.vertices[i], self.vertices[(i + 1) % k])
-                         for i in range(k)))
+        v = self.vertices
+        return float(_segment_distances(y, v, np.roll(v, -1, axis=0)).min())
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,11 +464,11 @@ def _planar_polygon_area(verts3d: np.ndarray) -> float:
     return float(np.linalg.norm(s) / 2.0)
 
 
-def _point_segment_distance(p, a, b) -> float:
+def _segment_distances(x, a, b) -> np.ndarray:
+    """Distances from the point x to the closed segments [a_i, b_i], rows of a and b."""
     ab = b - a
-    t = float(np.dot(p - a, ab) / np.dot(ab, ab))
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(p - (a + t * ab)))
+    t = np.clip(np.sum((x - a) * ab, axis=1) / np.sum(ab * ab, axis=1), 0.0, 1.0)
+    return np.linalg.norm(x - (a + t[:, None] * ab), axis=1)
 
 
 def _clip_halfplane(pts: list[np.ndarray], a: np.ndarray, b: float) -> list[np.ndarray]:
@@ -585,7 +584,8 @@ def distance_to_singular(poly: ConvexPolytope, x) -> float:
         verts = np.array([f.vertices[0] for f in faces(poly)])  # each vertex starts one face
         return float(np.min(np.linalg.norm(verts - x, axis=1)))
     if poly.dim == 3:
-        return float(min(_point_segment_distance(x, a, b) for a, b in polytope_edges(poly)))
+        edges = np.array(polytope_edges(poly))
+        return float(_segment_distances(x, edges[:, 0], edges[:, 1]).min())
     raise UnsupportedDimension("singular-set distance implemented for d = 2, 3 only")
 
 

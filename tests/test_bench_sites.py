@@ -5,6 +5,8 @@ renamed or removed function, or a wrapper's counter that no longer fits what
 the function returns, would otherwise fail only there.
 """
 
+import ast
+import math
 import os
 import sys
 
@@ -18,7 +20,8 @@ from polyhom import oscillatory as O
 from polyhom import periodic as P
 from polyhom.errors import NonDiophantineWarning
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+sys.path.insert(0, PERFBENCH)
 
 import layers  # noqa: E402
 import tracer  # noqa: E402
@@ -50,6 +53,45 @@ def test_traced_solves_record_their_counts():
     assert totals["fem.harmonic_measure"]["calls"] == 1
     assert totals["fem.kernel_bound_probe"]["calls"] == 1
     assert not any(t["failed"] for t in totals.values())
+
+
+def _workload_keywords() -> dict:
+    """fem function name -> keyword names of its calls in perfbench/workloads.py."""
+    with open(os.path.join(PERFBENCH, "workloads.py")) as f:
+        tree = ast.parse(f.read())
+    out = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "fem"):
+            out.setdefault(node.func.attr, set()).update(k.arg for k in node.keywords)
+    return out
+
+
+def test_probes_accept_the_benchmark_keywords():
+    # the fem_probes workload's probe calls, with its keyword names, at small sizes
+    omega = 2.0 * math.pi / 3.0
+    gs = G.golden_square()
+    A = F.CoefficientField.identity()
+    centroid = G.polygon_vertices(gs).mean(axis=0)
+    kwargs = {
+        "corner_probe": dict(h=0.3, grading=1.0),
+        "gradient_probe": dict(corner=(0.0, 0.0),
+                               direction=(math.cos(omega / 2), math.sin(omega / 2)),
+                               h=0.3, grading=1.0),
+        "kernel_bound_probe": dict(arcs_per_face=4, h=0.25),
+        "harmonic_measure": dict(mesh=F.triangulate(gs, 0.25)),
+    }
+    used = _workload_keywords()
+    assert {name: set(kw) for name, kw in kwargs.items()} == {name: used.get(name)
+                                                               for name in kwargs}
+    assert np.isfinite(F.corner_probe(omega, **kwargs["corner_probe"])["fitted_exponent"])
+    samples = F.gradient_probe(F.sector_polygon(omega), A, lambda pts: pts[:, 0] * pts[:, 1],
+                               **kwargs["gradient_probe"])
+    assert len(samples) == 6 and np.all(np.isfinite(samples))
+    kb = F.kernel_bound_probe(gs, A, centroid, **kwargs["kernel_bound_probe"])
+    assert len(kb["ratios"]) == 16
+    w = F.harmonic_measure(gs, A, lambda y: True, centroid, **kwargs["harmonic_measure"])
+    assert abs(w - 1.0) <= 1e-8
 
 
 def test_traced_diophantine_checks_record_both_sites():

@@ -78,6 +78,7 @@ def _tangent_first_square(tmp_path):
     ("equi", {"lambdas": []}, "lambdas must not be empty"),
     ("osc", {"patch": {"normal": [0.6, 0.8], "offset": 0.0, "axis": 0, "bounds": [[0.0, 1.0]]},
              "m": [1, -1], "lambdas": [], "tau": 1.0}, "lambdas must not be empty"),
+    ("corner", {"omegas": []}, "omegas must not be empty"),
 ])
 def test_config_edge_cases_are_validation_failures(tmp_path, capsys, golden_files, mode, doc,
                                                    message):

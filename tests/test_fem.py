@@ -892,6 +892,64 @@ def test_gradient_probe_constant_data():
     assert max(s[1] for s in samples) < 1e-5
 
 
+# float.hex of the probe outputs for the benchmark's inputs (2 pi / 3 sector,
+# h = 0.15, grading 1, wedge data r^q sin(q phi)): the graded mesh, solve and
+# ray sampling are one path, so these stay bit-identical
+CORNER_PROBE_PINS = {
+    "fitted_exponent": "0x1.7fb45353a2176p+0",
+    "stderr": "0x1.26b555a65c897p-11",
+    "mesh_vertices": 10805,
+    "values": ["0x1.44b58d133313bp-3", "0x1.cd528b34e0d93p-5", "0x1.4663d114cf7e2p-6",
+               "0x1.cd9d21f32aa36p-8", "0x1.4668e93e5b940p-9", "0x1.cd9b9bd5da303p-11"],
+}
+GRADIENT_PROBE_PINS = [
+    ("0x1.0000000000000p-2", "0x1.7ce631a1c4a88p-1"),
+    ("0x1.0000000000001p-3", "0x1.0d5363b097a59p-1"),
+    ("0x1.0000000000001p-4", "0x1.7ce103581e11bp-2"),
+    ("0x1.0000000000003p-5", "0x1.0d51bc30030fep-2"),
+    ("0x1.0000000000005p-6", "0x1.7cdf0a35bf9b8p-3"),
+    ("0x1.000000000000bp-7", "0x1.0d508de5e9d01p-3"),
+]
+
+
+def test_corner_probe_output_pinned():
+    r = F.corner_probe(2.0 * np.pi / 3.0, h=0.15, grading=1.0)
+    assert r["fitted_exponent"].hex() == CORNER_PROBE_PINS["fitted_exponent"]
+    assert r["stderr"].hex() == CORNER_PROBE_PINS["stderr"]
+    assert r["mesh_vertices"] == CORNER_PROBE_PINS["mesh_vertices"]
+    assert [(rr, v.hex()) for rr, v in r["samples"]] == [
+        (2.0 ** -j, v) for j, v in zip(range(2, 8), CORNER_PROBE_PINS["values"])]
+
+
+def test_gradient_probe_output_pinned():
+    omega = 2.0 * np.pi / 3.0
+    q = np.pi / omega
+
+    def wedge(pts):
+        return np.linalg.norm(pts, axis=1) ** q * np.sin(q * np.arctan2(pts[:, 1], pts[:, 0]))
+
+    samples = F.gradient_probe(F.sector_polygon(omega), I2, wedge, corner=(0.0, 0.0),
+                               direction=(math.cos(omega / 2), math.sin(omega / 2)),
+                               h=0.15, grading=1.0)
+    assert [(d.hex(), g.hex()) for d, g in samples] == GRADIENT_PROBE_PINS
+
+
+@pytest.mark.parametrize("probe, message", [
+    (lambda: F.kernel_bound_probe(G.unit_square(), I2, np.array([0.5, 0.5]), arcs_per_face=0),
+     "arcs_per_face"),
+    (lambda: F.gradient_probe(G.unit_square(), I2, lambda pts: pts[:, 0] * pts[:, 1],
+                              corner=(0.0, 0.0), direction=(0.0, 0.0)),
+     "direction"),
+], ids=["zero arcs", "zero direction"])
+def test_probe_arguments_are_validated_before_meshing(monkeypatch, probe, message):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(F, "triangulate", no_mesh)
+    with pytest.raises(ValidationError, match=message):
+        probe()
+
+
 def test_solution_csv(tmp_path):
     sq = G.unit_square()
     prob = F.DirichletProblem(polygon=sq, coefficients=I2,

@@ -545,6 +545,49 @@ def test_distance_to_singular_cube_frozen_from_edge_oracle():
     assert G.distance_to_singular(cube, x) == pytest.approx(expected, abs=1e-12)
 
 
+def _point_segment_distance(p, a, b) -> float:
+    """The scalar project-and-clip rule ``_segment_distances`` replaced, kept as a reference."""
+    ab = b - a
+    t = float(np.dot(p - a, ab) / np.dot(ab, ab))
+    t = min(1.0, max(0.0, t))
+    return float(np.linalg.norm(p - (a + t * ab)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_segment_distances_match_scalar_rule(d):
+    # x projects before, inside and past the segments, at parameter s
+    rng = np.random.default_rng(1800 + d)
+    x = rng.uniform(-1.0, 1.0, d)
+    ab = rng.uniform(-1.0, 1.0, (300, d))
+    s = np.concatenate([rng.uniform(-2.0, 0.0, 100), rng.uniform(0.0, 1.0, 100),
+                        rng.uniform(1.0, 3.0, 100)])
+    off = rng.uniform(-1.0, 1.0, (300, d))
+    off -= (np.sum(off * ab, axis=1) / np.sum(ab * ab, axis=1))[:, None] * ab
+    a = x - s[:, None] * ab + off
+    got = G._segment_distances(x, a, a + ab)
+    want = [_point_segment_distance(x, p, p + q) for p, q in zip(a, ab)]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
+
+def test_3d_distances_match_scalar_rule():
+    rng = np.random.default_rng(1805)
+    polys = [G.unit_cube()] + [random_convex_polytope_3d(rng, int(rng.integers(5, 20)))
+                               for _ in range(10)]
+    for poly in polys:
+        edges = G.polytope_edges(poly)
+        c = poly.interior_point
+        for x in [c, *(0.5 * (c + v) for v in poly.vertices)]:
+            want = min(_point_segment_distance(x, a, b) for a, b in edges)
+            assert abs(G.distance_to_singular(poly, x) - want) <= 1e-15
+        for f in G.faces(poly):
+            v = f.vertices
+            m = v.mean(axis=0)
+            for y in [m, *(0.5 * (m + w) for w in v)]:
+                want = min(_point_segment_distance(y, v[i], v[(i + 1) % len(v)])
+                           for i in range(len(v)))
+                assert abs(f.dist_to_relative_boundary(y) - want) <= 1e-15
+
+
 def test_distance_to_singular_unsupported_dimension():
     hs = []
     for i in range(4):
