@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import sys
 import warnings
 
@@ -204,10 +205,13 @@ def _sweep_outputs(result, rate_report, out):
 
 
 def _progress_line(rec, vertices: int, seconds: float) -> None:
-    """One stderr line per finished epsilon of a sweep."""
+    """One stderr line per finished epsilon of a sweep, with the process's
+    peak resident set so far (``ru_maxrss``, KiB on Linux) in MB."""
     status = f" failed: {rec.error}" if rec.failed else ""
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"eps={rec.epsilon:.6g} nv={vertices} iterations={rec.iterations} "
-          f"residual={rec.residual:.3e} seconds={seconds:.3f}{status}", file=sys.stderr)
+          f"residual={rec.residual:.3e} seconds={seconds:.3f} peak_rss_mb={peak_mb:.1f}{status}",
+          file=sys.stderr)
 
 
 def _mode_sweep(cfg, out, base):

@@ -18,6 +18,11 @@ coefficient field, so repeated solves on one mesh set up once. Probes built on t
 harmonic measures of boundary arcs, pointwise Poisson-kernel bounds (from one
 adjoint solve), and corner exponents of solutions vanishing on the faces
 incident to a vertex.
+No stage holds a full-size temporary it does not need, and each keeps the
+bits of its output: the edge table, areas, stiffness, interior split and
+prolongators are built from 1-D columns, in place and with int32 indices;
+point location tests a fixed block of triangles at a time; the L^p error
+works in place on one gather.
 """
 
 from __future__ import annotations
@@ -77,17 +82,31 @@ class TriMesh:
 
     @cached_property
     def areas(self) -> np.ndarray:
-        p = np.take(self.vertices, self.triangles, axis=0)
-        return _frozen(0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                              - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])))
+        x, y = self.vertices.T
+        t0, t1, t2 = self.triangles.T
+        x0, y0 = np.take(x, t0), np.take(y, t0)
+        return _frozen(0.5 * ((np.take(x, t1) - x0) * (np.take(y, t2) - y0)
+                              - (np.take(x, t2) - x0) * (np.take(y, t1) - y0)))
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """The edge table: sorted edge keys min * nv + max, and the int32 edge
-        index of every triangle side in ``_edge_keys`` order."""
-        keys, side_edge = np.unique(_edge_keys(self.triangles, len(self.vertices)),
-                                    return_inverse=True)
-        return _frozen(keys), _frozen(side_edge.astype(np.int32))
+        index of every triangle side in ``_edge_keys`` order.
+
+        This is ``np.unique(keys, return_inverse=True)`` with its own unstable
+        sort, without the flattened copy and the int64 inverse.
+        """
+        keys = _edge_keys(self.triangles, len(self.vertices))
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        rank = np.cumsum(first, dtype=np.int32)
+        rank -= 1
+        side_edge = np.empty(len(keys), dtype=np.int32)
+        side_edge[order] = rank
+        return _frozen(keys[first]), _frozen(side_edge)
 
     @property
     def max_edge(self) -> float:
@@ -103,9 +122,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _edge_keys(tri: np.ndarray, nv: int) -> np.ndarray:
     """Key min * nv + max of every side: all sides (0, 1), then (1, 2), then (2, 0)."""
-    u = np.concatenate([tri[:, 0], tri[:, 1], tri[:, 2]]).astype(np.int64)
-    v = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0]])
-    return np.minimum(u, v) * nv + np.maximum(u, v)
+    nt = len(tri)
+    keys = np.empty(3 * nt, dtype=np.int64)
+    for s in range(3):  # built in place, one side at a time
+        u, v, k = tri[:, s], tri[:, (s + 1) % 3], keys[s * nt:(s + 1) * nt]
+        np.minimum(u, v, out=k)
+        k *= nv
+        k += np.maximum(u, v)
+    return keys
 
 
 def _validate_mesh(mesh: TriMesh, polygon: ConvexPolytope) -> None:
@@ -479,34 +503,60 @@ _COARSEST = 500
 # A = I, k_uv = -(cot alpha + cot beta) / 2, so one that small is coordinate
 # roundoff (the right angles of the fan's sub-triangles make many of them)
 _ROUNDOFF = 1e-12
+# point location tests this many triangles at a time
+_LOCATE_BLOCK = 2**14
 
 
 def _local_stiffness(mesh: TriMesh, A_field: CoefficientField):
     """Per triangle: the diagonal entries K_ii and the entries K_i,i+1 of its P1 stiffness.
 
     Both are (3, nt), row i for vertex i and side (i, i+1), so raveled they
-    follow ``_edge_keys``; the work is on contiguous 1-D coordinate columns.
-    With e_i the side opposite vertex i and R the quarter turn,
+    follow ``_edge_keys``; the work is on 1-D coordinate columns, the side
+    vectors overwrite the gathered coordinates and both outputs are written
+    in place. With e_i the side opposite vertex i and R the quarter turn,
     grad phi_i = R e_i / (2 area), so K_ij = (R e_i)^T A (R e_j) / (4 area),
-    A taken at the barycenter.
+    A taken at the barycenter (only a variable field is evaluated there).
     """
-    x, y = (np.ascontiguousarray(mesh.vertices[:, c]) for c in (0, 1))
-    t = [np.ascontiguousarray(mesh.triangles[:, i]) for i in range(3)]
-    px, py = [np.take(x, ti) for ti in t], [np.take(y, ti) for ti in t]
-    ex = [px[2] - px[1], px[0] - px[2], px[1] - px[0]]
-    ey = [py[2] - py[1], py[0] - py[2], py[1] - py[0]]
-    det = ex[1] * ey[2] - ey[1] * ex[2]   # twice the area
-    Abar = A_field.evaluate_many(np.column_stack([(px[0] + px[1] + px[2]) / 3.0,
-                                                  (py[0] + py[1] + py[2]) / 3.0]))
-    if np.any(Abar[:, 0, 1] != Abar[:, 1, 0]):
+    x, y = mesh.vertices.T
+    px, py = [np.take(x, t) for t in mesh.triangles.T], [np.take(y, t) for t in mesh.triangles.T]
+    A = A_field.evaluator
+    if not isinstance(A, np.ndarray):
+        A = A_field.evaluate_many(np.column_stack([(px[0] + px[1] + px[2]) / 3.0,
+                                                   (py[0] + py[1] + py[2]) / 3.0]))
+    if np.any(A[..., 0, 1] != A[..., 1, 0]):
         raise NonSymmetricCoefficients("A(x) is not symmetric at a barycenter")
-    w = 0.5 / det
-    a00, a01, a11 = (Abar[:, r, c] * w for r, c in ((0, 0), (0, 1), (1, 1)))
-    # R^T A R e_i / (2 det), with R^T A R = [[a11, -a01], [-a01, a00]]
-    bx = [a11 * ex[i] - a01 * ey[i] for i in range(3)]
-    by = [a00 * ey[i] - a01 * ex[i] for i in range(3)]
-    return (np.stack([bx[i] * ex[i] + by[i] * ey[i] for i in range(3)]),
-            np.stack([bx[i] * ex[(i + 1) % 3] + by[i] * ey[(i + 1) % 3] for i in range(3)]))
+    # e_0 = p_2 - p_1, e_1 = p_0 - p_2, e_2 = p_1 - p_0: the last two over p_2, p_1
+    ex = [px[2] - px[1], np.subtract(px[0], px[2], out=px[2]), np.subtract(px[1], px[0], out=px[1])]
+    ey = [py[2] - py[1], np.subtract(py[0], py[2], out=py[2]), np.subtract(py[1], py[0], out=py[1])]
+    del px, py
+    w = ex[1] * ey[2]
+    w -= ey[1] * ex[2]                   # twice the area
+    np.divide(0.5, w, out=w)
+    a00, a01, a11 = (A[..., r, c] * w for r, c in ((0, 0), (0, 1), (1, 1)))
+    del A, w
+    diag, off = np.empty((3, len(a00))), np.empty((3, len(a00)))
+    bx, by, tmp = np.empty((3, len(a00)))
+    for i in range(3):
+        j = (i + 1) % 3
+        # R^T A R e_i / (2 det), with R^T A R = [[a11, -a01], [-a01, a00]]
+        np.multiply(a11, ex[i], out=bx)
+        bx -= np.multiply(a01, ey[i], out=tmp)
+        np.multiply(a00, ey[i], out=by)
+        by -= np.multiply(a01, ex[i], out=tmp)
+        np.multiply(bx, ex[i], out=diag[i])
+        diag[i] += np.multiply(by, ey[i], out=tmp)
+        np.multiply(bx, ex[j], out=off[i])
+        off[i] += np.multiply(by, ey[j], out=tmp)
+    return diag, off
+
+
+def _pair_bound(d: np.ndarray, u: np.ndarray, v: np.ndarray, factor: float) -> np.ndarray:
+    """factor * sqrt(d_u d_v) for every pair (u, v), computed in one array."""
+    bound = np.take(d, u)
+    bound *= np.take(d, v)
+    np.sqrt(bound, out=bound)
+    bound *= factor
+    return bound
 
 
 def _aggregate(A) -> np.ndarray:
@@ -523,8 +573,9 @@ def _aggregate(A) -> np.ndarray:
     """
     n = A.shape[0]
     d = A.diagonal()
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    strong = (rows != A.indices) & (np.abs(A.data) >= _STRENGTH * np.sqrt(d[rows] * d[A.indices]))
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
+    strong = np.abs(A.data) >= _pair_bound(d, rows, A.indices, _STRENGTH)
+    strong &= rows != A.indices
     rows, cols = rows[strong], A.indices[strong]
 
     def near(values):  # per node: max of values over itself and its strong neighbours
@@ -544,10 +595,10 @@ def _aggregate(A) -> np.ndarray:
         key[taken] += n
         key[undecided & ~taken & (top >= 2 * n)] -= n
     root = key >= 2 * n
-    agg = np.full(n, -1)
+    agg = np.full(n, -1, dtype=np.int32)
     agg[root] = np.arange(root.sum())
     root_prio = prio[root]
-    node_of = np.empty(n, dtype=np.int64)  # inverse of the permutation prio
+    node_of = np.empty(n, dtype=np.int32)  # inverse of the permutation prio
     node_of[prio] = np.arange(n)
     for _ in range(2):      # the ring around each root, then the ring beyond
         best = near(np.where(agg >= 0, root_prio[agg], -1))
@@ -584,12 +635,21 @@ def _hierarchy(A) -> tuple[list, object]:
         if nagg == n:
             break
         d = A.diagonal()
-        rows = np.repeat(np.arange(n), np.diff(A.indptr))
         rho = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[:-1]) / d))
         smooth = (4.0 / (3.0 * rho)) / d
-        P = sp.coo_matrix((np.concatenate([np.ones(n), -smooth[rows] * A.data]),
-                           (np.concatenate([np.arange(n), rows]),
-                            np.concatenate([agg, agg[A.indices]]))), shape=(n, nagg)).tocsr()
+        # P's COO entries: 1 at (i, agg_i) for every i, then -smooth_i a_ij at
+        # (i, agg_j) for every stored a_ij; .tocsr() sums duplicates in this order
+        m = n + len(A.indices)
+        rows, cols, vals = np.empty(m, dtype=np.int32), np.empty(m, dtype=np.int32), np.empty(m)
+        rows[:n] = np.arange(n)
+        rows[n:] = np.repeat(rows[:n], np.diff(A.indptr))
+        cols[:n] = agg
+        np.take(agg, A.indices, out=cols[n:])
+        vals[:n] = 1.0
+        np.negative(np.take(smooth, rows[n:], out=vals[n:]), out=vals[n:])
+        vals[n:] *= A.data
+        P = sp.coo_matrix((vals, (rows, cols)), shape=(n, nagg)).tocsr()
+        del rows, cols, vals
         R = P.T.tocsr()
         levels.append(_Level(A=A, smooth=smooth, P=P, R=R))
         A = (R @ (A @ P)).tocsr()
@@ -608,28 +668,36 @@ class _DirichletSystem:
     """
 
     def __init__(self, mesh: TriMesh, A: CoefficientField):
-        diag, off = _local_stiffness(mesh, A)
         keys, side_edge = mesh.edges
         self.nv = nv = len(mesh.vertices)
+        diag, off = _local_stiffness(mesh, A)
         kd = np.bincount(mesh.triangles.T.ravel(), weights=diag.ravel(), minlength=nv)
+        del diag
         ke = np.bincount(side_edge, weights=off.ravel(), minlength=len(keys))
-        u, v = keys // nv, keys % nv
-        kept = np.abs(ke) > _ROUNDOFF * np.sqrt(kd[u] * kd[v])
+        del off
+        u, v = np.divmod(keys, nv)
+        kept = np.abs(ke) > _pair_bound(kd, u, v, _ROUNDOFF)
         self.boundary = mesh.boundary_nodes
         on_b = np.zeros(nv, dtype=bool)
         on_b[self.boundary] = True
         self.interior = np.flatnonzero(~on_b)
         ni = len(self.interior)
         # each node's position within the interior or the boundary nodes
-        index = np.where(on_b, np.cumsum(on_b), np.cumsum(~on_b)) - 1
+        index = np.empty(nv, dtype=np.int32)
+        index[self.interior] = np.arange(ni)
+        index[self.boundary] = np.arange(len(self.boundary))
         bu, bv = on_b[u], on_b[v]
         ii, ib = kept & ~bu & ~bv, kept & (bu != bv)
-        iu, iv, k = index[u[ii]], index[v[ii]], ke[ii]
+        # int32 COO entries, so scipy's linear COO -> CSR pass copies no index
+        iu, iv, k = np.take(index, u[ii]), np.take(index, v[ii]), ke[ii]
+        diagonal = np.arange(ni, dtype=np.int32)
         self.Kii = sp.csr_matrix((np.concatenate([kd[self.interior], k, k]),
-                                  (np.concatenate([np.arange(ni), iu, iv]),
-                                   np.concatenate([np.arange(ni), iv, iu]))), shape=(ni, ni))
-        i, b = np.where(bu, v, u)[ib], np.where(bu, u, v)[ib]
-        self.neg_Kib = sp.csr_matrix((-ke[ib], (index[i], index[b])),
+                                  (np.concatenate([diagonal, iu, iv]),
+                                   np.concatenate([diagonal, iv, iu]))), shape=(ni, ni))
+        del iu, iv, k, diagonal
+        u, v, swap = u[ib], v[ib], bu[ib]
+        self.neg_Kib = sp.csr_matrix((-ke[ib], (np.take(index, np.where(swap, v, u)),
+                                                np.take(index, np.where(swap, u, v)))),
                                      shape=(ni, len(self.boundary)))
         self._levels = self._coarse = None
 
@@ -717,21 +785,31 @@ def _barycentric(mesh: TriMesh, t: int, x: np.ndarray) -> np.ndarray:
 def _locate(mesh: TriMesh, x) -> tuple[int, np.ndarray]:
     """Lowest-index triangle whose three barycentrics at x are all >= -1e-12.
 
-    Every triangle is tested at once with the explicit 2x2 inverse. The
-    weights returned are ``_barycentric``'s for the chosen triangle, because
-    the explicit formula's differ from them in the last bits.
+    Triangles are tested in index order, ``_LOCATE_BLOCK`` at a time, and
+    the scan ends at the first block that holds one, so its memory does not
+    grow with the mesh. The weights returned are ``_barycentric``'s for the
+    chosen triangle, because the explicit formula's differ from them in the
+    last bits.
     """
     x = np.asarray(x, dtype=float)
-    p = np.take(mesh.vertices, mesh.triangles, axis=0)
+    for lo in range(0, len(mesh.triangles), _LOCATE_BLOCK):
+        inside = _containing(mesh, x, lo, lo + _LOCATE_BLOCK)
+        if inside.size:
+            found = lo + int(inside[0])
+            return found, _barycentric(mesh, found, x)
+    raise OutsideDomain("point is not inside any mesh triangle")
+
+
+def _containing(mesh: TriMesh, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Offsets from lo of the triangles lo..hi-1 whose barycentrics at x are
+    all >= -1e-12, each tested with the explicit 2x2 inverse. A function of
+    its own, so one block's temporaries are freed before the next is made."""
+    p = np.take(mesh.vertices, mesh.triangles[lo:hi], axis=0)
     e1, e2, r = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], x - p[:, 0]
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     s = (r[:, 0] * e2[:, 1] - r[:, 1] * e2[:, 0]) / det
     t = (e1[:, 0] * r[:, 1] - e1[:, 1] * r[:, 0]) / det
-    inside = np.flatnonzero((s >= -1e-12) & (t >= -1e-12) & (1.0 - s - t >= -1e-12))
-    if inside.size == 0:
-        raise OutsideDomain("point is not inside any mesh triangle")
-    found = int(inside[0])
-    return found, _barycentric(mesh, found, x)
+    return np.flatnonzero((s >= -1e-12) & (t >= -1e-12) & (1.0 - s - t >= -1e-12))
 
 
 def evaluate_solution(sol: FemSolution, x):
@@ -751,15 +829,25 @@ def evaluate_gradient(sol: FemSolution, x) -> np.ndarray:
 
 
 def lp_error(sol: FemSolution, reference: float, p: float) -> float:
-    """||u - reference||_{L^p} by the 3-point edge-midpoint rule per triangle."""
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    """||u - reference||_{L^p} by the 3-point edge-midpoint rule per triangle.
+
+    One (nt, 3) gather of the nodal values becomes, in place, the midpoint
+    values, |. - reference|^p and the area-weighted terms.
+    """
+    if not 1 <= p < np.inf:  # also rejects nan
+        raise ValidationError("p must be finite and >= 1")
     u = np.take(sol.values, sol.mesh.triangles)
-    mids = np.stack([(u[:, 0] + u[:, 1]) / 2, (u[:, 1] + u[:, 2]) / 2,
-                     (u[:, 2] + u[:, 0]) / 2], axis=1)
-    areas = sol.mesh.areas
-    total = float(np.sum(areas[:, None] / 3.0 * np.abs(mids - reference) ** p))
-    return total ** (1.0 / p)
+    u0 = u[:, 0].copy()
+    u[:, 0] += u[:, 1]
+    u[:, 1] += u[:, 2]
+    u[:, 2] += u0
+    del u0
+    u /= 2
+    u -= reference
+    w = np.abs(u) if np.iscomplexobj(u) else np.abs(u, out=u)
+    w **= p
+    w *= (sol.mesh.areas / 3.0)[:, None]
+    return float(np.sum(w)) ** (1.0 / p)
 
 
 def write_solution_csv(path, sol: FemSolution) -> None:

@@ -56,11 +56,16 @@ class SweepConfig:
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ValidationError("epsilons must be strictly decreasing")
         object.__setattr__(self, "epsilons", eps)
-        object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
+        p_values = tuple(float(p) for p in self.p_values)
+        if not p_values:
+            raise ValidationError("p_values must not be empty")
+        if not all(1 <= p < np.inf for p in p_values):  # also rejects nan
+            raise ValidationError("p_values must be finite and >= 1")
+        object.__setattr__(self, "p_values", p_values)
         object.__setattr__(self, "probe_points",
                            tuple(tuple(float(c) for c in pt) for pt in self.probe_points))
-        if self.eta <= 0 or self.delta <= 0:
-            raise ValidationError("eta and delta must be positive")
+        if not (0 < self.eta < np.inf and 0 < self.delta < np.inf):  # also rejects nan
+            raise ValidationError("eta and delta must be finite and positive")
 
 
 @dataclass(eq=False)

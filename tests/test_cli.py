@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -79,9 +80,25 @@ def _tangent_first_square(tmp_path):
     ("osc", {"patch": {"normal": [0.6, 0.8], "offset": 0.0, "axis": 0, "bounds": [[0.0, 1.0]]},
              "m": [1, -1], "lambdas": [], "tau": 1.0}, "lambdas must not be empty"),
     ("corner", {"omegas": []}, "omegas must not be empty"),
+    # sweep settings refused before any mesh is built
+    ("sweep", {"epsilons": [0.5], "eta": 2.0, "p_values": []}, "p_values must not be empty"),
+    ("sweep", {"epsilons": [0.5], "eta": 2.0, "p_values": [math.inf]},
+     "p_values must be finite and >= 1"),
+    ("sweep", {"epsilons": [0.5], "eta": 2.0, "p_values": [math.nan]},
+     "p_values must be finite and >= 1"),
+    ("sweep", {"epsilons": [0.5], "eta": 2.0, "p_values": [2.0, 0.5]},
+     "p_values must be finite and >= 1"),
+    ("sweep", {"epsilons": [0.5], "eta": math.nan}, "eta and delta must be finite and positive"),
+    ("sweep", {"epsilons": [0.5], "eta": math.inf}, "eta and delta must be finite and positive"),
+    ("sweep", {"epsilons": [0.5], "eta": 2.0, "delta": math.nan},
+     "eta and delta must be finite and positive"),
 ])
-def test_config_edge_cases_are_validation_failures(tmp_path, capsys, golden_files, mode, doc,
-                                                   message):
+def test_config_edge_cases_are_validation_failures(tmp_path, capsys, monkeypatch, golden_files,
+                                                   mode, doc, message):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built before the config was refused")
+
+    monkeypatch.setattr(F, "triangulate", no_mesh)
     poly, gpath = golden_files
     if doc.get("polytope") == "tangent":
         poly = _tangent_first_square(tmp_path)
@@ -244,10 +261,14 @@ def test_sweep_progress_one_stderr_line_per_eps(tmp_path, golden_files, capsys):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     lines = capsys.readouterr().err.splitlines()
     assert [line.split()[0] for line in lines] == ["eps=0.25", "eps=0.166667", "eps=0.125"]
+    peaks = []
     for line in lines:
         fields = dict(f.split("=") for f in line.split())
         assert int(fields["nv"]) > 0 and int(fields["iterations"]) > 0
         assert float(fields["residual"]) <= 1e-8 and float(fields["seconds"]) >= 0.0
+        peaks.append(float(fields["peak_rss_mb"]))
+    # the process's high-water mark so far: positive and never falling
+    assert peaks[0] > 0 and peaks == sorted(peaks)
 
 
 def test_sweep_progress_leaves_artifacts_unchanged(tmp_path, golden_files, monkeypatch):

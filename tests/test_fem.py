@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -773,6 +774,14 @@ def test_lp_error_trivials():
         assert F.lp_error(sol, 0.5, p) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+def test_lp_error_refuses_p_that_is_not_finite_and_at_least_one(p):
+    mesh = F.triangulate(G.unit_square(), 0.5)
+    sol = F.FemSolution(mesh=mesh, values=np.zeros(len(mesh.vertices)), iterations=0, residual=0.0)
+    with pytest.raises(ValidationError, match="p must be finite and >= 1"):
+        F.lp_error(sol, 0.0, p)
+
+
 def test_lp_error_matches_dense_riemann(rng):
     sq = G.unit_square()
     mesh = F.triangulate(sq, 0.1)
@@ -788,6 +797,257 @@ def test_lp_error_matches_dense_riemann(rng):
     # dense Riemann estimate from a random subsample (unbiased up to MC error)
     est = (np.mean(np.abs(dense - 0.2) ** p)) ** (1 / p)
     assert got == pytest.approx(est, rel=5e-2)
+
+
+# -- working set -----------------------------------------------------------------
+# The per-record stages before they stopped building full-size temporaries,
+# kept as references: the lean stages must reproduce their every bit.
+
+def _unique_edge_table(mesh):
+    """The ``np.unique`` edge table, int64 inverse cast to int32."""
+    tri, nv = mesh.triangles, len(mesh.vertices)
+    u = np.concatenate([tri[:, 0], tri[:, 1], tri[:, 2]]).astype(np.int64)
+    v = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0]])
+    keys, side_edge = np.unique(np.minimum(u, v) * nv + np.maximum(u, v), return_inverse=True)
+    return keys, side_edge.astype(np.int32)
+
+
+def _gathered_areas(mesh):
+    p = np.take(mesh.vertices, mesh.triangles, axis=0)
+    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+
+
+def _listed_local_stiffness(mesh, A_field):
+    """The closed form over lists of gathered columns, A evaluated at every barycenter."""
+    x, y = (np.ascontiguousarray(mesh.vertices[:, c]) for c in (0, 1))
+    t = [np.ascontiguousarray(mesh.triangles[:, i]) for i in range(3)]
+    px, py = [np.take(x, ti) for ti in t], [np.take(y, ti) for ti in t]
+    ex = [px[2] - px[1], px[0] - px[2], px[1] - px[0]]
+    ey = [py[2] - py[1], py[0] - py[2], py[1] - py[0]]
+    det = ex[1] * ey[2] - ey[1] * ex[2]
+    Abar = A_field.evaluate_many(np.column_stack([(px[0] + px[1] + px[2]) / 3.0,
+                                                  (py[0] + py[1] + py[2]) / 3.0]))
+    w = 0.5 / det
+    a00, a01, a11 = (Abar[:, r, c] * w for r, c in ((0, 0), (0, 1), (1, 1)))
+    bx = [a11 * ex[i] - a01 * ey[i] for i in range(3)]
+    by = [a00 * ey[i] - a01 * ex[i] for i in range(3)]
+    return (np.stack([bx[i] * ex[i] + by[i] * ey[i] for i in range(3)]),
+            np.stack([bx[i] * ex[(i + 1) % 3] + by[i] * ey[(i + 1) % 3] for i in range(3)]))
+
+
+def _int64_blocks(mesh, A_field):
+    """Kii and -Kib from int64 COO entries, as concatenated int64 arrays."""
+    diag, off = _listed_local_stiffness(mesh, A_field)
+    keys, side_edge = _unique_edge_table(mesh)
+    nv = len(mesh.vertices)
+    kd = np.bincount(mesh.triangles.T.ravel(), weights=diag.ravel(), minlength=nv)
+    ke = np.bincount(side_edge, weights=off.ravel(), minlength=len(keys))
+    u, v = keys // nv, keys % nv
+    kept = np.abs(ke) > F._ROUNDOFF * np.sqrt(kd[u] * kd[v])
+    on_b = np.zeros(nv, dtype=bool)
+    on_b[mesh.boundary_nodes] = True
+    interior = np.flatnonzero(~on_b)
+    ni = len(interior)
+    index = np.where(on_b, np.cumsum(on_b), np.cumsum(~on_b)) - 1
+    bu, bv = on_b[u], on_b[v]
+    ii, ib = kept & ~bu & ~bv, kept & (bu != bv)
+    iu, iv, k = index[u[ii]], index[v[ii]], ke[ii]
+    Kii = sp.csr_matrix((np.concatenate([kd[interior], k, k]),
+                         (np.concatenate([np.arange(ni), iu, iv]),
+                          np.concatenate([np.arange(ni), iv, iu]))), shape=(ni, ni))
+    i, b = np.where(bu, v, u)[ib], np.where(bu, u, v)[ib]
+    neg_Kib = sp.csr_matrix((-ke[ib], (index[i], index[b])),
+                            shape=(ni, len(mesh.boundary_nodes)))
+    return Kii, neg_Kib
+
+
+def _int64_hierarchy(A):
+    """The smoothed-aggregation levels with P built from int64 concatenations:
+    a list of (A, smooth, P, R) and the coarsest matrix."""
+    levels = []
+    while A.shape[0] > F._COARSEST:
+        n = A.shape[0]
+        agg = F._aggregate(A).astype(np.int64)
+        nagg = int(agg.max()) + 1
+        if nagg == n:
+            break
+        d = A.diagonal()
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        rho = float(np.max(np.add.reduceat(np.abs(A.data), A.indptr[:-1]) / d))
+        smooth = (4.0 / (3.0 * rho)) / d
+        P = sp.coo_matrix((np.concatenate([np.ones(n), -smooth[rows] * A.data]),
+                           (np.concatenate([np.arange(n), rows]),
+                            np.concatenate([agg, agg[A.indices]]))), shape=(n, nagg)).tocsr()
+        R = P.T.tocsr()
+        levels.append((A, smooth, P, R))
+        A = (R @ (A @ P)).tocsr()
+    return levels, A
+
+
+def _full_scan_locate(mesh, x):
+    """Every triangle tested at once; the lowest-index hit wins."""
+    x = np.asarray(x, dtype=float)
+    p = np.take(mesh.vertices, mesh.triangles, axis=0)
+    e1, e2, r = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], x - p[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    s = (r[:, 0] * e2[:, 1] - r[:, 1] * e2[:, 0]) / det
+    t = (e1[:, 0] * r[:, 1] - e1[:, 1] * r[:, 0]) / det
+    inside = np.flatnonzero((s >= -1e-12) & (t >= -1e-12) & (1.0 - s - t >= -1e-12))
+    if inside.size == 0:
+        raise OutsideDomain("point is not inside any mesh triangle")
+    found = int(inside[0])
+    return found, F._barycentric(mesh, found, x)
+
+
+def _stacked_lp_error(sol, reference, p):
+    u = np.take(sol.values, sol.mesh.triangles)
+    mids = np.stack([(u[:, 0] + u[:, 1]) / 2, (u[:, 1] + u[:, 2]) / 2,
+                     (u[:, 2] + u[:, 0]) / 2], axis=1)
+    total = float(np.sum(sol.mesh.areas[:, None] / 3.0 * np.abs(mids - reference) ** p))
+    return total ** (1.0 / p)
+
+
+def _same(a, b):
+    """Equal dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_csr(a, b):
+    return a.shape == b.shape and all(_same(getattr(a, k), getattr(b, k))
+                                      for k in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("make, A", [
+    (lambda: F.triangulate(G.golden_square(), 1 / 160), I2),
+    (_corner_probe_mesh, I2),
+    (_strip_mesh, I2),
+    (lambda: F.triangulate(G.regular_hexagon(), 0.02), ANISO),
+    (lambda: F.triangulate(G.regular_hexagon(), 0.02),
+     F.CoefficientField(evaluator=_variable_field)),
+], ids=["golden-1-16", "corner-probe-sector", "strip-mesh", "hexagon-anisotropic",
+        "hexagon-variable"])
+def test_lean_stages_reproduce_reference_bits(make, A):
+    mesh = make()
+    for got, want in zip(mesh.edges, _unique_edge_table(mesh)):
+        assert _same(got, want)
+    assert _same(mesh.areas, _gathered_areas(mesh))
+    for got, want in zip(F._local_stiffness(mesh, A), _listed_local_stiffness(mesh, A)):
+        assert _same(got, want)
+    system = F._DirichletSystem(mesh, A)
+    Kii, neg_Kib = _int64_blocks(mesh, A)
+    assert _same_csr(system.Kii, Kii) and _same_csr(system.neg_Kib, neg_Kib)
+
+    levels, coarse = F._hierarchy(system.Kii)
+    want, want_coarse = _int64_hierarchy(Kii)
+    assert len(levels) == len(want) >= 1
+    for L, (A_, smooth, P_, R) in zip(levels, want):
+        assert _same_csr(L.A, A_) and _same(L.smooth, smooth)
+        assert _same_csr(L.P, P_) and _same_csr(L.R, R)
+    b = np.random.default_rng(1).normal(size=want_coarse.shape[0])
+    assert _same(coarse.solve(b), spla.splu(want_coarse.tocsc()).solve(b))
+
+    vb = np.sin(3.0 * mesh.vertices[system.boundary, 0]) + mesh.vertices[system.boundary, 1]
+    u, iterations, _ = system.solve(vb, F.SolverConfig())
+    for values in (u, u + 1j * u[::-1]):
+        sol = F.FemSolution(mesh=mesh, values=values, iterations=iterations, residual=0.0)
+        for p in (1.0, 2.0, 3.5, 5.0):
+            assert F.lp_error(sol, 0.3, p) == _stacked_lp_error(sol, 0.3, p)
+
+    last = mesh.triangles[-1]   # found only by a scan of every block
+    for x in (mesh.vertices[len(mesh.vertices) // 2], mesh.vertices[last].mean(axis=0),
+              0.5 * (mesh.vertices[last[0]] + mesh.vertices[last[1]])):
+        (t, lam), (want_t, want_lam) = F._locate(mesh, x), _full_scan_locate(mesh, x)
+        assert t == want_t and _same(lam, want_lam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1.0, 6.0), st.booleans())
+def test_in_place_lp_error_reproduces_reference_bits(seed, p, complex_values):
+    # a coarse mesh: with few terms, one changed bit in a term reaches the sum
+    mesh = F.triangulate(G.regular_hexagon(), 0.7)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=len(mesh.vertices))
+    if complex_values:
+        values = values + 1j * rng.normal(size=len(mesh.vertices))
+    sol = F.FemSolution(mesh=mesh, values=values, iterations=0, residual=0.0)
+    reference = float(rng.normal())
+    assert F.lp_error(sol, reference, p) == _stacked_lp_error(sol, reference, p)
+
+
+def _small_block_locate(mesh, x):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(F, "_LOCATE_BLOCK", 7)
+        return F._locate(mesh, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["inside", "edge", "vertex"]), st.integers(0, 2**31),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_blocked_locate_matches_full_scan(kind, which, a, b):
+    # blocks of 7: the triangles around a vertex or an edge fall in different blocks
+    mesh = F.triangulate(G.regular_hexagon(), 0.4, grading=0.5)
+    p = mesh.vertices[mesh.triangles[which % len(mesh.triangles)]]
+    x = {"vertex": p[0], "edge": (1.0 - a) * p[0] + a * p[1],
+         "inside": np.array([a, (1.0 - a) * b, (1.0 - a) * (1.0 - b)]) @ p}[kind]
+    (t, lam), (want_t, want_lam) = _small_block_locate(mesh, x), _full_scan_locate(mesh, x)
+    assert t == want_t and _same(lam, want_lam)
+
+
+def test_blocked_locate_ties_across_blocks_pick_the_lowest_index():
+    mesh = F.triangulate(G.regular_hexagon(), 0.4, grading=0.5)
+    nt = len(mesh.triangles)
+    _, side_edge = mesh.edges
+    order = np.argsort(side_edge, kind="stable")
+    pair = np.flatnonzero(side_edge[order[1:]] == side_edge[order[:-1]])
+    lo, hi = np.sort(np.stack([order[pair] % nt, order[pair + 1] % nt]), axis=0)
+    apart = lo // 7 != hi // 7
+    assert apart.sum() >= 10
+    for t, u in zip(lo[apart], hi[apart]):
+        shared = np.intersect1d(mesh.triangles[t], mesh.triangles[u])
+        x = mesh.vertices[shared].mean(axis=0)   # the shared edge's midpoint
+        assert _small_block_locate(mesh, x)[0] == _full_scan_locate(mesh, x)[0] == t
+    with pytest.raises(OutsideDomain):
+        _small_block_locate(mesh, [5.0, 5.0])
+
+
+def _traced_peak(fn):
+    """(fn(), peak bytes numpy and Python allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_system_and_hierarchy_working_set_per_triangle():
+    # 144 B per triangle measured at this size (the int64 builds took 288);
+    # the bound leaves a 25% margin
+    mesh = F.triangulate(G.golden_square(), 1 / 160)
+    _, peak = _traced_peak(lambda: F._hierarchy(F._DirichletSystem(mesh, I2).Kii))
+    assert peak / len(mesh.triangles) < 180
+
+
+def test_lp_error_working_set_per_triangle():
+    # 48 B per triangle measured (the stacked form took 105); 25% margin
+    mesh = F.triangulate(G.golden_square(), 1 / 160)
+    vals = np.random.default_rng(2).normal(size=len(mesh.vertices))
+    sol = F.FemSolution(mesh=mesh, values=vals, iterations=0, residual=0.0)
+    _, peak = _traced_peak(lambda: F.lp_error(sol, 0.1, 2.0))
+    assert peak / len(mesh.triangles) < 60
+
+
+def test_locate_working_set_does_not_grow_with_the_mesh():
+    peaks = []
+    for h in (1 / 80, 1 / 160):   # 25,600 and 102,400 triangles
+        mesh = F.triangulate(G.golden_square(), h)
+        x = mesh.vertices[mesh.triangles[-1]].mean(axis=0)   # in the last block only
+        (t, _), peak = _traced_peak(lambda: F._locate(mesh, x))
+        assert t == len(mesh.triangles) - 1
+        peaks.append(peak)
+    # 137 B per triangle of one block measured at both sizes (a full scan's
+    # grew 4x, to 13 MB); 25% margin
+    assert peaks[1] <= 1.05 * peaks[0] and peaks[1] < 170 * F._LOCATE_BLOCK
 
 
 # -- probes ----------------------------------------------------------------------
