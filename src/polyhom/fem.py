@@ -2,18 +2,21 @@
 
 Meshes come from a centroid fan subdivided uniformly to the target edge
 length, with optional longest-edge bisection (Rivara, IJNME 20, 1984) graded
-toward selected corners. Both stages work on whole arrays: the fan's nodes,
-triangles and boundary edges are numbered in closed form, and each bisection
-pass measures only the previous pass's pieces, merges their sides into one
-edge table grown in place, and marks, closes and splits every edge at once,
-so a mesh costs a fixed number of numpy passes rather than a Python step per
-node or triangle.
+toward the polygon's corners or chosen centers. Both stages work on whole
+arrays: the fan's nodes, triangles and boundary edges are numbered in closed
+form, and each bisection pass marks, closes and splits every edge at once,
+touching only the previous pass's pieces, the triangles across their sides
+and the edges it marks: triangles, edges (with the triangles on their two
+sides), coordinates and boundary rows are append-only, and the in-place
+depth-first order of the pieces is laid out once, after the last pass. The
+graded stage hands its edge table to the mesh, so no side key is sorted again.
 The solver assembles the stiffness of -div(A grad u) in closed form with
 one-point coefficient quadrature at barycenters, summed on the mesh's one
 edge table (shared with validation) and leaving out roundoff entries
 (|k_uv| <= _ROUNDOFF sqrt(k_uu k_vv), _ROUNDOFF = 1e-12), pins Dirichlet
 nodes, and runs conjugate gradients preconditioned by a smoothed-aggregation
-algebraic multigrid V-cycle; the assembled system is cached per mesh and
+algebraic multigrid V-cycle, with dot products summed outside BLAS so the
+bits do not depend on the thread count; the assembled system is cached per mesh and
 coefficient field, so repeated solves on one mesh set up once. Probes built on top estimate
 harmonic measures of boundary arcs, pointwise Poisson-kernel bounds (from one
 adjoint solve), and corner exponents of solutions vanishing on the faces
@@ -93,20 +96,11 @@ class TriMesh:
         """The edge table: sorted edge keys min * nv + max, and the int32 edge
         index of every triangle side in ``_edge_keys`` order.
 
-        This is ``np.unique(keys, return_inverse=True)`` with its own unstable
-        sort, without the flattened copy and the int64 inverse.
+        A graded mesh from ``triangulate`` comes with the table its bisection
+        built; any other mesh sorts its side keys here.
         """
-        keys = _edge_keys(self.triangles, len(self.vertices))
-        order = np.argsort(keys)
-        keys = keys[order]
-        first = np.empty(len(keys), dtype=bool)
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        rank = np.cumsum(first, dtype=np.int32)
-        rank -= 1
-        side_edge = np.empty(len(keys), dtype=np.int32)
-        side_edge[order] = rank
-        return _frozen(keys[first]), _frozen(side_edge)
+        keys, side_edge = _unique_sides(_edge_keys(self.triangles, len(self.vertices)))
+        return _frozen(keys), _frozen(side_edge)
 
     @property
     def max_edge(self) -> float:
@@ -130,6 +124,24 @@ def _edge_keys(tri: np.ndarray, nv: int) -> np.ndarray:
         k *= nv
         k += np.maximum(u, v)
     return keys
+
+
+def _unique_sides(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys and the int32 index of every key among them.
+
+    This is ``np.unique(keys, return_inverse=True)`` with its own unstable
+    sort, without the flattened copy and the int64 inverse.
+    """
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    rank = np.cumsum(first, dtype=np.int32)
+    rank -= 1
+    index = np.empty(len(keys), dtype=np.int32)
+    index[order] = rank
+    return keys[first], index
 
 
 def _validate_mesh(mesh: TriMesh, polygon: ConvexPolytope) -> None:
@@ -166,11 +178,14 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
     ray of sector s-1, and the last sector its i = 0 ray from the j = 0 ray
     of sector 0. That makes 1 + n k (k + 1) / 2 nodes, so ``max_vertices``
     is checked before any node is made. With grading > 0, triangles near
-    the grading centers (default: the polygon vertices) are bisected further,
-    in array-wide passes that each measure only the last pass's pieces (see
-    ``_graded_bisection``), until the local edge is below
+    the grading centers are bisected further, in array-wide passes that each
+    cost only the last pass's pieces and their neighbours (see
+    ``_graded_refinement``), until the local edge is below
     h * (d_*(center) / diam)^grading, where d_* is the distance to the
-    nearest grading center; ``min_edge`` floors the local target. A grading,
+    nearest grading center; ``min_edge`` floors the local target. The
+    default centers are the polygon's corners: the vertices whose interior
+    angle is below pi by more than ``_FLAT_TURN``, so a polygonal arc is not
+    graded (a polygon without such a vertex is not graded at all). A grading,
     ``min_edge`` or ``grading_centers`` out of range, or ``max_vertices``
     above 2**31, raises ``ValidationError``.
     """
@@ -185,10 +200,13 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
     if max_vertices > 2**31:  # a side key holds two vertex indices, 32 bits each
         raise ValidationError("max_vertices must be at most 2**31")
     verts, side_face = polygon_sides(polygon)
-    centers = np.asarray(grading_centers if grading_centers is not None else verts, dtype=float)
-    if not (centers.ndim == 2 and len(centers) and centers.shape[1] == 2
-            and np.isfinite(centers).all()):
-        raise ValidationError("grading_centers must be finite, of shape (k >= 1, 2)")
+    if grading_centers is None:
+        centers = verts[_corners(verts)]
+    else:
+        centers = np.asarray(grading_centers, dtype=float)
+        if not (centers.ndim == 2 and len(centers) and centers.shape[1] == 2
+                and np.isfinite(centers).all()):
+            raise ValidationError("grading_centers must be finite, of shape (k >= 1, 2)")
     n = len(verts)
     x, y = verts[:, 0], verts[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
@@ -245,149 +263,338 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
     bedges = np.column_stack([ends.min(-1).ravel(), ends.max(-1).ravel(),
                               np.repeat(side_face, k)])
 
-    if grading > 0.0:
+    edges = None
+    if grading > 0.0 and len(centers):
         diam = polygon.diameter
         floor = min_edge if min_edge is not None else 1e-4 * diam
-        coords, tris, bedges = _graded_bisection(
+        coords, tris, bedges, edges = _graded_refinement(
             coords, tris, bedges, centers, h, grading, diam, floor, max_vertices)
 
     bedges = bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))]
     mesh = TriMesh(vertices=coords, triangles=tris, boundary_edges=bedges)
+    if edges is not None:
+        vars(mesh)["edges"] = edges  # the cached_property's slot: no second sort
     _validate_mesh(mesh, polygon)
     return mesh
 
 
+# A polygon vertex whose interior angle is within this of pi (10 degrees) is a
+# point of a polygonal arc, such as the 64 arc vertices of ``sector_polygon``,
+# not a corner the solution feels: the default grading leaves it out.
+_FLAT_TURN = np.pi / 18
+
+
+def _corners(verts: np.ndarray) -> np.ndarray:
+    """Mask of the vertices of a counterclockwise cycle that turn by more than _FLAT_TURN."""
+    a = verts - np.roll(verts, 1, axis=0)
+    b = np.roll(verts, -1, axis=0) - verts
+    turn = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1])
+    return turn > _FLAT_TURN
+
+
 def _graded_bisection(coords, tris, bedges, centers, h, grading, diam, floor,
                       max_vertices):
+    """The mesh arrays (coords, tris, bedges) of ``_graded_refinement``, without its edge table."""
+    return _graded_refinement(coords, tris, bedges, centers, h, grading, diam, floor,
+                              max_vertices)[:3]
+
+
+def _graded_refinement(coords, tris, bedges, centers, h, grading, diam, floor,
+                       max_vertices):
     """Longest-edge bisection until local targets near the centers are met.
 
     Each pass marks the longest edge of every too-coarse triangle, closes the
-    marking so adjacent triangles stay conforming, and bisects; new edges are
-    never marked within a pass, so conformity is preserved. Boundary edges are
-    rows (a, b, face) with a < b; a bisected one is replaced by its halves.
-    A triangle a pass leaves whole meets its target ever after, so each pass
-    measures only the last pass's pieces (the first: every triangle) and
-    merges their sides into one sorted edge table. Side keys min * 2**32 + max
-    do not change as vertices are added; a bisected edge stays as a row that
-    no side points to, so it is never marked again.
+    marking so adjacent triangles stay conforming, and bisects (``_split``);
+    new edges are never marked within a pass, so conformity is preserved. A
+    triangle a pass leaves whole meets its target ever after, so each pass
+    measures only the last pass's pieces (the first: every triangle).
+
+    A pass costs its pieces, the triangles across their sides and the edges
+    it marks, not the mesh, because every table is append-only:
+    - the refinement forest: the input triangles, then each pass's pieces,
+      parent by parent, with their vertices, side edges and longest side;
+    - the edges: key min * 2**32 + max, the triangles on its two sides
+      (slot 0 the one whose side runs from min to max, slot 1 the other;
+      -1 for none) and, once split, its midpoint. A piece's sides are
+      numbered from its parent's, not looked up: the parent's unsplit
+      sides, the two halves of each split edge (rows 2 q and 2 q + 1 of the
+      pass's new rows for its q-th split edge, the halves at min and at
+      max) and the pass's inner edges;
+    - the boundary rows (edge, face): a split row dies, and the pass appends
+      the halves at a of its split rows (a, b, face), then the halves at b;
+    - the coordinates: each pass's midpoints in the key order of their edges.
+    The marking closes by walking from the marked edges to the triangles
+    across them. After the last pass ``_depth_first`` lays out the leaves
+    with each triangle replaced in place by its pieces, the order
+    ``_bisect_marked`` gives pass after pass. Returns (coords, tris, bedges,
+    edges): bedges are the live rows (a, b, face), a < b, in row order, and
+    edges is the table ``TriMesh.edges`` would sort from the output.
     """
-    keys = np.array([np.iinfo(np.int64).max])  # a sentinel above every key
-    side_edge = np.zeros((len(tris), 3), dtype=np.int64)  # table row of every side
-    longest = np.empty(len(tris), dtype=np.int64)  # the side a pass marks first
-    fresh = np.arange(len(tris))
+    nt0, nv = len(tris), len(coords)
+    ekey, side = _unique_sides(_edge_keys(tris, 2**32))
+    side = side.reshape(3, nt0).T.copy()        # (nodes, 3): the edge of each side
+    tri = tris.astype(np.int32)                 # (nodes, 3): vertices, all < 2**31
+    longest = np.empty(nt0, dtype=np.int8)      # the side a pass marks first
+    n, ne = nt0, len(ekey)
+    emid = np.full(ne, -1, dtype=np.int32)      # -2 while marked, then the midpoint
+    eadj = np.full((ne, 2), -1, dtype=np.int32)
+    for q in range(3):
+        slot = 2 * side[:, q].astype(np.int64) + (tris[:, q] > tris[:, (q + 1) % 3])
+        eadj.reshape(-1)[slot] = np.arange(nt0)
+    bedge = np.searchsorted(ekey, bedges[:, 0] * 2**32 + bedges[:, 1]).astype(np.int32)
+    bface = bedges[:, 2].copy()
+    nb = len(bedge)
+    brow = np.full(ne, -1, dtype=np.int32)      # each edge's boundary row
+    brow[bedge] = np.arange(nb)
+    splits = []                                 # per pass: parents, pieces of each
+    lo = 0                                      # the last pass's pieces: nodes lo..n-1
     for _ in range(200):  # outer passes; each enforces the target once more
-        nv = len(coords)
         # np.take gathers rows ~10x faster than coords[tris]; explicit columns
         # replace short-axis reductions, with the bits of .mean(axis=1) and
         # np.linalg.norm(axis=-1)
-        t = tris[fresh]
+        t = tri[lo:n]
         p = np.take(coords, t, axis=0)
         cent = (p[:, 0] + p[:, 1] + p[:, 2]) / 3
-        dc = cent[:, None, :] - centers[None, :, :]
-        dstar = np.sqrt(dc[..., 0] * dc[..., 0] + dc[..., 1] * dc[..., 1]).min(axis=1)
-        target = np.maximum(h * (dstar / diam) ** grading, floor)
+        # the root of the least square distance: the bits of the least distance
+        d2 = np.full(len(t), np.inf)
+        for cx, cy in centers:
+            dx, dy = cent[:, 0] - cx, cent[:, 1] - cy
+            np.minimum(d2, dx * dx + dy * dy, out=d2)
+        target = np.maximum(h * (np.sqrt(d2) / diam) ** grading, floor)
 
         nxt = t[:, [1, 2, 0]]  # side s runs from t[:, s] to nxt[:, s]
         e = p - np.take(coords, nxt, axis=0)
         lens = np.sqrt(e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1])            # (F,3)
         lmax = np.maximum(np.maximum(lens[:, 0], lens[:, 1]), lens[:, 2])
-        fkeys = np.minimum(t, nxt) * 2**32 + np.maximum(t, nxt)                  # (F,3)
+        fkeys = np.minimum(t, nxt).astype(np.int64) * 2**32 + np.maximum(t, nxt)
         # longest side with deterministic tie-break: largest length, then
         # smallest edge key among near-equal lengths
         near = lens >= lmax[:, None] - 1e-14
-        longest[fresh] = np.argmin(np.where(near, fkeys, np.iinfo(np.int64).max), axis=1)
-        need = fresh[lmax > target]
+        longest[lo:n] = np.argmin(np.where(near, fkeys, np.iinfo(np.int64).max), axis=1)
+        need = lo + np.flatnonzero(lmax > target)
         if not len(need):
             break
 
-        # merge the pieces' sides into the table (np.unique takes a slow hash
-        # path); old rows shift by the number of keys inserted at or before them
-        flat = fkeys.ravel()
-        order = np.argsort(flat)
-        ranked = flat[order]
-        first = np.concatenate([[True], ranked[1:] != ranked[:-1]])
-        uniq = ranked[first]
-        at = np.searchsorted(keys, uniq)
-        new = keys[at] != uniq
-        ins = at[new]
-        side_edge += np.cumsum(np.bincount(ins, minlength=len(keys)))[side_edge]
-        keys = np.insert(keys, ins, uniq[new])
-        side_edge[fresh[order // 3], order % 3] = np.searchsorted(keys, uniq)[np.cumsum(first) - 1]
-
-        longest_id = side_edge[np.arange(len(tris)), longest]
-        marked = np.zeros(len(keys), dtype=bool)
-        marked[longest_id[need]] = True
-        while True:
-            side_marked = marked[side_edge]
-            has_marked = side_marked[:, 0] | side_marked[:, 1] | side_marked[:, 2]
-            grow = has_marked & ~marked[longest_id]
-            if not grow.any():
-                break
-            marked[longest_id[grow]] = True
-
-        # midpoints of the marked edges, numbered in sorted-key order
-        split = keys[marked]
-        if nv + len(split) > max_vertices:
+        g = _distinct(side[need, longest[need]])
+        emid[g] = -2
+        marked = [g]
+        while len(g):  # the triangles across newly marked edges mark their longest
+            adj = eadj[g].ravel()
+            adj = adj[adj >= 0]
+            g = side[adj, longest[adj]]
+            g = _distinct(g[emid[g] == -1])
+            emid[g] = -2
+            marked.append(g)
+        split = np.concatenate(marked)
+        split = split[np.argsort(ekey[split])]
+        nm = len(split)
+        if nv + nm > max_vertices:
             raise BudgetExceeded(f"vertex budget {max_vertices} exceeded during grading")
-        midpoint = np.full(len(keys), -1, dtype=np.int64)
-        midpoint[marked] = nv + np.arange(len(split))
-        coords = np.concatenate([coords, 0.5 * (np.take(coords, split >> 32, axis=0)
-                                                + np.take(coords, split & 0xFFFFFFFF, axis=0))])
+        emid[split] = np.arange(nv, nv + nm)
+        ends = ekey[split]
+        a, b = ends >> 32, ends & 0xFFFFFFFF
+        coords = _room(coords, nv, nv + nm)
+        coords[nv:nv + nm] = 0.5 * (np.take(coords, a, axis=0) + np.take(coords, b, axis=0))
 
-        w = midpoint[np.searchsorted(keys, bedges[:, 0] * 2**32 + bedges[:, 1])]
-        hit = w >= 0
-        bedges = np.concatenate([
-            bedges[~hit],
-            np.column_stack([bedges[hit, 0], w[hit], bedges[hit, 2]]),
-            np.column_stack([bedges[hit, 1], w[hit], bedges[hit, 2]])])
-        tris, count, fresh = _bisect_marked(coords, tris, midpoint[side_edge])
-        side_edge = np.repeat(side_edge, count, axis=0)
-        longest = np.repeat(longest, count)
+        T = _distinct(eadj[split])
+        T = T[T >= 0]
+        t, st = tri[T], side[T]
+        sm = emid[st]
+        rot, pts, case = _split(coords, t, sm)
+        rows, which = np.nonzero(_KEEP[case])  # each piece's row, in depth-first order
+        kind = case[rows], which
+        rows = rows[:, None]
+        pieces = pts[rows, _PIECES[kind]]
+        # the side labels of _SIDES: halves, inner edges, the parent's sides
+        cut1, cut2 = case % 2 == 1, case >= 2
+        mid, u, v = (pts[:, c].astype(np.int64) for c in _HALVES)
+        inner = np.column_stack([np.arange(len(T)), len(T) - 1 + np.cumsum(cut1),
+                                 len(T) - 1 + cut1.sum() + np.cumsum(cut2)])
+        labels = np.concatenate([ne + 2 * (mid - nv) + (u > v), ne + 2 * nm + inner,
+                                 st[np.arange(len(T))[:, None], rot]], axis=1)
+        psides = labels[rows, _SIDES[kind]]
+
+        top = ne + 2 * nm + len(pieces) - len(T)  # new edges: halves, then inner
+        ekey, emid, eadj, brow = (_room(arr, ne, top) for arr in (ekey, emid, eadj, brow))
+        emid[ne:top] = eadj[ne:top] = brow[ne:top] = -1
+        nxt = pieces[:, [1, 2, 0]]
+        ekey[psides] = np.minimum(pieces, nxt).astype(np.int64) * 2**32 + np.maximum(pieces, nxt)
+        eadj.reshape(-1)[2 * psides + (pieces > nxt)] = np.arange(n, n + len(pieces))[:, None]
+
+        hit = np.flatnonzero(brow[split] >= 0)
+        hit = hit[np.argsort(brow[split[hit]])]  # the split rows, in row order
+        halves = ne + np.concatenate([2 * hit, 2 * hit + 1])
+        new = np.arange(nb, nb + len(halves))
+        bedge, bface = _room(bedge, nb, nb + len(new)), _room(bface, nb, nb + len(new))
+        bface[new] = np.tile(bface[brow[split[hit]]], 2)
+        bedge[new] = halves
+        brow[halves] = new
+        nb += len(new)
+
+        ne = top
+        top = n + len(pieces)
+        tri, side, longest = (_room(arr, n, top) for arr in (tri, side, longest))
+        tri[n:top], side[n:top] = pieces, psides
+        splits.append((T, _COUNT[case]))
+        lo, n, nv = n, top, nv + nm
     else:
         raise BudgetExceeded("graded refinement did not settle within 200 passes")
-    return coords, tris, bedges
+
+    # each table is dropped once read: the largest meshes peak in this phase
+    del eadj, brow, longest
+    ends = ekey[bedge[:nb]]
+    alive = emid[bedge[:nb]] < 0
+    bedges = np.column_stack([ends >> 32, ends & 0xFFFFFFFF, bface[:nb]])[alive]
+    leaves = _depth_first(nt0, splits)
+    del splits
+    tris = np.take(tri, leaves, axis=0).astype(np.int64)
+    del tri
+    side = np.take(side, leaves, axis=0)
+    del leaves
+    # the live edges sorted by key, re-encoded min * nv + max, and the rank of each
+    live = emid[:ne] < 0
+    del emid
+    keys = ekey[:ne][live]
+    del ekey
+    order = np.argsort(keys)
+    keys = keys[order]
+    rank = np.empty(len(keys), dtype=np.int32)
+    rank[order] = np.arange(len(keys), dtype=np.int32)
+    del order
+    a = keys >> 32
+    keys &= 0xFFFFFFFF
+    a *= nv
+    keys += a
+    del a
+    edge_rank = np.empty(ne, dtype=np.int32)
+    edge_rank[live] = rank
+    del live, rank
+    nt = len(tris)
+    side_edge = np.empty(3 * nt, dtype=np.int32)  # in _edge_keys order
+    for q in range(3):
+        np.take(edge_rank, side[:, q], out=side_edge[q * nt:(q + 1) * nt])
+    return coords[:nv].copy(), tris, bedges, (_frozen(keys), _frozen(side_edge))
 
 
-def _bisect_marked(coords, tris, side_mid):
-    """Bisect each triangle at its longest marked side, then its halves.
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending: ``np.unique`` without its slow hash path."""
+    x = np.sort(x, axis=None)
+    first = np.empty(len(x), dtype=bool)
+    first[:1] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return x[first]
 
-    ``side_mid[t, s]`` is the midpoint vertex of side s = (t[s], t[s+1]), or
-    -1 when that side is unmarked. A triangle splits at its longest marked
-    side (the first of equal lengths); each half has at most one marked side,
-    an outer side of the parent, and splits there, after which no marked side
-    is left. The output lists, triangle by triangle, the untouched triangle
-    or its two to four pieces in depth-first order (first half, then second).
-    Returns it with the number of output rows of every input row and the
-    output rows of the pieces, ascending.
+
+def _room(a: np.ndarray, used: int, need: int) -> np.ndarray:
+    """``a``, or a copy of its first ``used`` rows with room for ``need`` rows.
+
+    The room at least doubles, so appending costs O(1) per row; rows not yet
+    written are not resident.
     """
-    has = side_mid >= 0
-    touched = has[:, 0] | has[:, 1] | has[:, 2]
-    t, sm = tris[touched], side_mid[touched]
+    if need <= len(a):
+        return a
+    out = np.empty((max(need, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
+
+
+# A triangle (i, j, kv) splits at its longest marked side (i, j), with
+# midpoint m, into (i, m, kv) and (m, j, kv); each half splits again at its
+# outer side where that is marked: at m1 on (kv, i), at m2 on (j, kv). Per
+# case cut1 + 2 cut2, the pieces in depth-first order (first half, then
+# second) as labels 0..5 of the points (i, j, kv, m, m2, m1), padded to four.
+_I, _J, _K, _M, _M2, _M1 = range(6)
+_PAD = [_I, _I, _I]
+_PIECES = np.array([
+    [[_I, _M, _K], [_M, _J, _K], _PAD, _PAD],
+    [[_K, _M1, _M], [_M1, _I, _M], [_M, _J, _K], _PAD],
+    [[_I, _M, _K], [_J, _M2, _M], [_M2, _K, _M], _PAD],
+    [[_K, _M1, _M], [_M1, _I, _M], [_J, _M2, _M], [_M2, _K, _M]]])
+_COUNT = np.array([2, 3, 3, 4], dtype=np.int8)
+_KEEP = np.arange(4) < _COUNT[:, None]
+# The pieces' edges as labels 0..11: 0-5 the halves of the split sides,
+# rows (midpoint, end, other end) of _HALVES; 6-8 the inner edges (m, kv),
+# (m1, m), (m2, m); 9-11 the parent's sides (i, j), (j, kv), (kv, i).
+_HALVES = np.array([[_M, _I, _J], [_M, _J, _I], [_M1, _K, _I], [_M1, _I, _K],
+                    [_M2, _J, _K], [_M2, _K, _J]]).T
+
+
+def _side_labels() -> np.ndarray:
+    """The edge label of each side (p[q], p[q + 1]) of each piece p of ``_PIECES``."""
+    ends = np.concatenate([_HALVES[:2].T, [[_M, _K], [_M1, _M], [_M2, _M], [_I, _J],
+                                           [_J, _K], [_K, _I]]])
+    label = np.zeros((6, 6), dtype=np.int64)
+    label[ends[:, 0], ends[:, 1]] = label[ends[:, 1], ends[:, 0]] = np.arange(12)
+    return label[_PIECES, _PIECES[..., [1, 2, 0]]]
+
+
+_SIDES = _side_labels()
+
+
+def _split(coords, t, sm):
+    """How each triangle bisects at its marked sides (see ``_PIECES``).
+
+    ``sm[:, q]`` is the midpoint vertex of side q = (t[q], t[q+1]), or -1 when
+    that side is unmarked; every row has a marked side. The split side is the
+    longest marked one, the first of equal lengths. Returns rot, the columns
+    (s, s + 1, s + 2) from the split side s, so that t[r, rot[r]] is
+    (i, j, kv); the points (i, j, kv, m, m2, m1) of each row; and its case.
+    """
     d = np.take(coords, t, axis=0) - np.take(coords, t[:, [1, 2, 0]], axis=0)
     # np.vecdot reproduces the bits of the 1-D np.linalg.norm; axis=1 does not
     L = np.where(sm >= 0, np.sqrt(np.vecdot(d, d)), -1.0)
-    s = np.argmax(L, axis=1)
-    r = np.arange(len(t))
-    i, j, kv = t[r, s], t[r, (s + 1) % 3], t[r, (s + 2) % 3]
-    m = sm[r, s]
-    m1 = sm[r, (s + 2) % 3]  # on (kv, i), the outer side of the first half (i, m, kv)
-    m2 = sm[r, (s + 1) % 3]  # on (j, kv), the outer side of the second half (m, j, kv)
-    cut1, cut2 = m1 >= 0, m2 >= 0
-    pieces = np.stack([
-        np.where(cut1[:, None], np.stack([kv, m1, m], 1), np.stack([i, m, kv], 1)),
-        np.stack([m1, i, m], 1),
-        np.where(cut2[:, None], np.stack([j, m2, m], 1), np.stack([m, j, kv], 1)),
-        np.stack([m2, kv, m], 1)], 1)
-    keep = np.column_stack([np.ones_like(cut1), cut1, np.ones_like(cut2), cut2])
+    rot = (np.argmax(L, axis=1)[:, None] + np.arange(3)) % 3
+    r = np.arange(len(t))[:, None]
+    pts = np.concatenate([t[r, rot], sm[r, rot]], axis=1)
+    return rot, pts, (pts[:, _M1] >= 0) + 2 * (pts[:, _M2] >= 0)
 
-    # untouched triangles keep their rows; a touched one makes room for its pieces
+
+def _bisect_marked(coords, tris, side_mid):
+    """One pass laid out in place: each triangle with a marked side replaced
+    by its pieces, the others kept.
+
+    ``side_mid[t, q]`` is the midpoint vertex of side q of triangle t, or -1.
+    Returns the triangles and the number of rows each input row became.
+    ``_depth_first`` gives this layout for a whole run at once.
+    """
+    has = side_mid >= 0
+    touched = has[:, 0] | has[:, 1] | has[:, 2]
+    _, pts, case = _split(coords, tris[touched], side_mid[touched])
     count = np.ones(len(tris), dtype=np.int64)
-    count[touched] = 2 + cut1 + cut2
+    count[touched] = _COUNT[case]
     out = np.repeat(tris, count, axis=0)
     first = np.cumsum(count)[touched] - count[touched]
-    rows = (first[:, None] + np.cumsum(keep, axis=1) - 1)[keep]
-    out[rows] = pieces[keep]
-    return out, count, rows
+    rows, which = np.nonzero(_KEEP[case])
+    out[first[rows] + which] = pts[rows[:, None], _PIECES[case[rows], which]]
+    return out, count
+
+
+def _depth_first(nroots: int, splits) -> np.ndarray:
+    """The leaves of a refinement forest, each root replaced in place by its
+    pieces' leaves, first piece first.
+
+    Nodes 0..nroots-1 are the roots; each pass of ``splits`` (parents,
+    counts) then appends, parent by parent, counts[k] pieces of leaf
+    parents[k]. Leaf counts go bottom-up, a pass at a time from the last;
+    then each node's first output row goes top-down. Returns the node of
+    every output row.
+    """
+    starts = np.cumsum([nroots] + [int(c.sum()) for _, c in splits])
+    passes = list(zip(splits, starts[:-1], starts[1:]))
+    size = np.ones(starts[-1], dtype=np.int64)  # leaves under each node
+    leaf = np.ones(starts[-1], dtype=bool)
+    for (parents, counts), a, b in reversed(passes):
+        size[parents] = np.add.reduceat(size[a:b], np.cumsum(counts) - counts)
+        leaf[parents] = False
+    at = np.empty(starts[-1], dtype=np.int64)   # each node's first output row
+    at[:nroots] = np.cumsum(size[:nroots]) - size[:nroots]
+    for (parents, counts), a, b in passes:
+        before = np.cumsum(size[a:b]) - size[a:b]  # leaves of the pass's earlier pieces
+        at[a:b] = before + np.repeat(at[parents] - before[np.cumsum(counts) - counts], counts)
+    leaves = np.flatnonzero(leaf)
+    out = np.empty(len(leaves), dtype=np.int64)
+    out[at[leaves]] = leaves
+    return out
 
 
 def write_mesh(path, mesh: TriMesh) -> None:
@@ -722,21 +929,44 @@ class _DirichletSystem:
         return u, iters, res
 
     def _cg(self, rhs: np.ndarray, config: SolverConfig):
-        """Kii x = rhs by V-cycle-preconditioned CG: (x, iterations, ||rhs - Kii x|| / ||rhs||)."""
-        bnorm = float(np.linalg.norm(rhs))
+        """Kii x = rhs by V-cycle-preconditioned CG: (x, iterations, ||rhs - Kii x|| / ||rhs||).
+
+        The recurrence of ``scipy.sparse.linalg.cg`` from x = 0, stopping when
+        ||r|| < linear_tol ||rhs||, with its dot products taken by ``_dot``.
+        """
+        bnorm = np.sqrt(_dot(rhs, rhs))
         if bnorm == 0.0:
             return np.zeros_like(rhs), 0, 0.0
-        n = len(rhs)
-        M = spla.LinearOperator((n, n), matvec=self.vcycle, dtype=float)
-        count = [0]
-        x, info = spla.cg(self.Kii, rhs, rtol=config.linear_tol, atol=0.0,
-                          maxiter=config.max_iter, M=M,
-                          callback=lambda _: count.__setitem__(0, count[0] + 1))
-        res = float(np.linalg.norm(rhs - self.Kii @ x) / bnorm)
-        if info != 0:
+        x, r = np.zeros_like(rhs), rhs.copy()
+        for iterations in range(config.max_iter):
+            if np.sqrt(_dot(r, r)) < config.linear_tol * bnorm:
+                break
+            z = self.vcycle(r)
+            rho = _dot(r, z)
+            if iterations:
+                p *= rho / rho_prev
+                p += z
+            else:
+                p = z.copy()
+            q = self.Kii @ p
+            alpha = rho / _dot(p, q)
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+        else:
+            iterations = config.max_iter
+        r = rhs - self.Kii @ x
+        res = float(np.sqrt(_dot(r, r)) / bnorm)
+        if iterations == config.max_iter:
             raise NoConvergence(f"cg stopped at relative residual {res:.3e} "
-                                f"after {count[0]} iterations")
-        return x, count[0], res
+                                f"after {iterations} iterations")
+        return x, iterations, res
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b summed by numpy's own loop: BLAS ddot splits long sums across its
+    threads, so its bits would depend on the thread count."""
+    return float(np.einsum("i,i->", a, b))
 
 
 # per mesh, per coefficient field; an entry dies with its mesh

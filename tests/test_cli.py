@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,3 +285,25 @@ def test_sweep_progress_leaves_artifacts_unchanged(tmp_path, golden_files, monke
     assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
     for name in ("sweep.csv", "summary.json", "sweep_result.json", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_sweep_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, golden_files):
+    # 12,961 vertices: OpenBLAS sums a ddot this long in threads, so CG must
+    # take no dot product from BLAS for the bytes to match
+    poly, gpath = golden_files
+    cfg = _write(tmp_path / "c.json", {
+        "schema": 1, "polytope": poly, "periodic": gpath, "epsilons": [0.125],
+        "p_values": [2.0], "probe_distances": [0.3], "eta": 10.0, "linear_tol": 1e-8})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    produced = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-m", "polyhom.cli", "sweep", "--config", cfg,
+                              "--out", str(out)], env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+        produced.append({name: (out / name).read_bytes()
+                         for name in ("sweep.csv", "summary.json", "sweep_result.json")})
+    assert produced[0] == produced[1]
