@@ -9,7 +9,8 @@ touching only the previous pass's pieces, the triangles across their sides
 and the edges it marks: triangles, edges (with the triangles on their two
 sides), coordinates and boundary rows are append-only, and the in-place
 depth-first order of the pieces is laid out once, after the last pass. The
-graded stage hands its edge table to the mesh, so no side key is sorted again.
+graded stage hands its edge table to the mesh, checked against the triangles'
+side keys in O(nt), so no side key is sorted again.
 The solver assembles the stiffness of -div(A grad u) in closed form with
 one-point coefficient quadrature at barycenters, summed on the mesh's one
 edge table (shared with validation) and leaving out roundoff entries
@@ -144,11 +145,30 @@ def _unique_sides(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[first], index
 
 
+def _check_edge_table(mesh: TriMesh, keys: np.ndarray, side_edge: np.ndarray) -> None:
+    """Refuse an edge table built for ``mesh`` elsewhere unless every side
+    names an edge that holds the side's key and the keys strictly ascend.
+
+    With the edge count of ``_validate_mesh``, which refuses an edge that no
+    side names, this makes it the table ``TriMesh.edges`` would sort, at
+    O(nt) cost and without a sort.
+    """
+    nt = len(mesh.triangles)
+    sides = _edge_keys(mesh.triangles, len(mesh.vertices))
+    if not (len(side_edge) == 3 * nt and 0 <= side_edge.min() and side_edge.max() < len(keys)
+            and np.all(keys[1:] > keys[:-1])
+            and all(np.array_equal(np.take(keys, side_edge[q * nt:(q + 1) * nt]),
+                                   sides[q * nt:(q + 1) * nt]) for q in range(3))):
+        raise ValidationError("the mesh's edge table disagrees with its triangles")
+
+
 def _validate_mesh(mesh: TriMesh, polygon: ConvexPolytope) -> None:
     if np.any(mesh.areas <= 0):
         raise ValidationError("mesh has non-positive triangle areas")
     keys, side_edge = mesh.edges
     counts = np.bincount(side_edge, minlength=len(keys))
+    if counts.min() < 1:
+        raise ValidationError("the mesh's edge table has an edge that no triangle has")
     if counts.max() > 2:
         raise ValidationError("non-conforming mesh: edge shared by more than two triangles")
     be = mesh.boundary_edges
@@ -180,7 +200,7 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
     is checked before any node is made. With grading > 0, triangles near
     the grading centers are bisected further, in array-wide passes that each
     cost only the last pass's pieces and their neighbours (see
-    ``_graded_refinement``), until the local edge is below
+    ``_graded_bisection``), until the local edge is below
     h * (d_*(center) / diam)^grading, where d_* is the distance to the
     nearest grading center; ``min_edge`` floors the local target. The
     default centers are the polygon's corners: the vertices whose interior
@@ -267,12 +287,13 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
     if grading > 0.0 and len(centers):
         diam = polygon.diameter
         floor = min_edge if min_edge is not None else 1e-4 * diam
-        coords, tris, bedges, edges = _graded_refinement(
+        coords, tris, bedges, edges = _graded_bisection(
             coords, tris, bedges, centers, h, grading, diam, floor, max_vertices)
 
     bedges = bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))]
     mesh = TriMesh(vertices=coords, triangles=tris, boundary_edges=bedges)
     if edges is not None:
+        _check_edge_table(mesh, *edges)
         vars(mesh)["edges"] = edges  # the cached_property's slot: no second sort
     _validate_mesh(mesh, polygon)
     return mesh
@@ -294,13 +315,6 @@ def _corners(verts: np.ndarray) -> np.ndarray:
 
 def _graded_bisection(coords, tris, bedges, centers, h, grading, diam, floor,
                       max_vertices):
-    """The mesh arrays (coords, tris, bedges) of ``_graded_refinement``, without its edge table."""
-    return _graded_refinement(coords, tris, bedges, centers, h, grading, diam, floor,
-                              max_vertices)[:3]
-
-
-def _graded_refinement(coords, tris, bedges, centers, h, grading, diam, floor,
-                       max_vertices):
     """Longest-edge bisection until local targets near the centers are met.
 
     Each pass marks the longest edge of every too-coarse triangle, closes the
@@ -325,10 +339,12 @@ def _graded_refinement(coords, tris, bedges, centers, h, grading, diam, floor,
     - the coordinates: each pass's midpoints in the key order of their edges.
     The marking closes by walking from the marked edges to the triangles
     across them. After the last pass ``_depth_first`` lays out the leaves
-    with each triangle replaced in place by its pieces, the order
-    ``_bisect_marked`` gives pass after pass. Returns (coords, tris, bedges,
-    edges): bedges are the live rows (a, b, face), a < b, in row order, and
-    edges is the table ``TriMesh.edges`` would sort from the output.
+    with each triangle replaced in place by its pieces, the order a rewrite
+    of the whole triangle list would give pass after pass. Returns (coords,
+    tris, bedges, edges): bedges are the live rows (a, b, face), a < b, in
+    row order, and edges is the table ``TriMesh.edges`` would sort from the
+    output, a side on a split edge (which no conforming run leaves) numbered
+    -1; ``_check_edge_table`` refuses such a table.
     """
     nt0, nv = len(tris), len(coords)
     ekey, side = _unique_sides(_edge_keys(tris, 2**32))
@@ -466,7 +482,7 @@ def _graded_refinement(coords, tris, bedges, centers, h, grading, diam, floor,
     a *= nv
     keys += a
     del a
-    edge_rank = np.empty(ne, dtype=np.int32)
+    edge_rank = np.full(ne, -1, dtype=np.int32)
     edge_rank[live] = rank
     del live, rank
     nt = len(tris)
@@ -547,26 +563,6 @@ def _split(coords, t, sm):
     r = np.arange(len(t))[:, None]
     pts = np.concatenate([t[r, rot], sm[r, rot]], axis=1)
     return rot, pts, (pts[:, _M1] >= 0) + 2 * (pts[:, _M2] >= 0)
-
-
-def _bisect_marked(coords, tris, side_mid):
-    """One pass laid out in place: each triangle with a marked side replaced
-    by its pieces, the others kept.
-
-    ``side_mid[t, q]`` is the midpoint vertex of side q of triangle t, or -1.
-    Returns the triangles and the number of rows each input row became.
-    ``_depth_first`` gives this layout for a whole run at once.
-    """
-    has = side_mid >= 0
-    touched = has[:, 0] | has[:, 1] | has[:, 2]
-    _, pts, case = _split(coords, tris[touched], side_mid[touched])
-    count = np.ones(len(tris), dtype=np.int64)
-    count[touched] = _COUNT[case]
-    out = np.repeat(tris, count, axis=0)
-    first = np.cumsum(count)[touched] - count[touched]
-    rows, which = np.nonzero(_KEEP[case])
-    out[first[rows] + which] = pts[rows[:, None], _PIECES[case[rows], which]]
-    return out, count
 
 
 def _depth_first(nroots: int, splits) -> np.ndarray:

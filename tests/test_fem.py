@@ -133,6 +133,48 @@ def test_mesh_digests_pinned(name):
     assert got == expected
 
 
+def _bisect_marked(coords, tris, side_mid):
+    """Bisect each triangle at its longest marked side, then its halves.
+
+    ``side_mid[t, s]`` is the midpoint vertex of side s = (t[s], t[s+1]), or
+    -1 when that side is unmarked. A triangle splits at its longest marked
+    side (the first of equal lengths); each half has at most one marked side,
+    an outer side of the parent, and splits there, after which no marked side
+    is left. The output lists, triangle by triangle, the untouched triangle
+    or its two to four pieces in depth-first order (first half, then second).
+    Returns it with the number of output rows of every input row and the
+    output rows of the pieces, ascending.
+    """
+    has = side_mid >= 0
+    touched = has[:, 0] | has[:, 1] | has[:, 2]
+    t, sm = tris[touched], side_mid[touched]
+    d = np.take(coords, t, axis=0) - np.take(coords, t[:, [1, 2, 0]], axis=0)
+    # np.vecdot reproduces the bits of the 1-D np.linalg.norm; axis=1 does not
+    L = np.where(sm >= 0, np.sqrt(np.vecdot(d, d)), -1.0)
+    s = np.argmax(L, axis=1)
+    r = np.arange(len(t))
+    i, j, kv = t[r, s], t[r, (s + 1) % 3], t[r, (s + 2) % 3]
+    m = sm[r, s]
+    m1 = sm[r, (s + 2) % 3]  # on (kv, i), the outer side of the first half (i, m, kv)
+    m2 = sm[r, (s + 1) % 3]  # on (j, kv), the outer side of the second half (m, j, kv)
+    cut1, cut2 = m1 >= 0, m2 >= 0
+    pieces = np.stack([
+        np.where(cut1[:, None], np.stack([kv, m1, m], 1), np.stack([i, m, kv], 1)),
+        np.stack([m1, i, m], 1),
+        np.where(cut2[:, None], np.stack([j, m2, m], 1), np.stack([m, j, kv], 1)),
+        np.stack([m2, kv, m], 1)], 1)
+    keep = np.column_stack([np.ones_like(cut1), cut1, np.ones_like(cut2), cut2])
+
+    # untouched triangles keep their rows; a touched one makes room for its pieces
+    count = np.ones(len(tris), dtype=np.int64)
+    count[touched] = 2 + cut1 + cut2
+    out = np.repeat(tris, count, axis=0)
+    first = np.cumsum(count)[touched] - count[touched]
+    rows = (first[:, None] + np.cumsum(keep, axis=1) - 1)[keep]
+    out[rows] = pieces[keep]
+    return out, count, rows
+
+
 def _full_recompute_graded_bisection(coords, tris, bedges, centers, h, grading, diam, floor,
                                      max_vertices):
     """Graded bisection that measures every triangle and rebuilds the edge
@@ -187,15 +229,16 @@ def _full_recompute_graded_bisection(coords, tris, bedges, centers, h, grading, 
             bedges[~hit],
             np.column_stack([bedges[hit, 0], w[hit], bedges[hit, 2]]),
             np.column_stack([bedges[hit, 1], w[hit], bedges[hit, 2]])])
-        tris = F._bisect_marked(coords, tris, midpoint[inv])[0]
+        tris = _bisect_marked(coords, tris, midpoint[inv])[0]
     else:
         raise BudgetExceeded("graded refinement did not settle within 200 passes")
     return coords, tris, bedges
 
 
 def _graded_or_budget(bisect, mesh, *args):
+    # the mesh arrays (coords, tris, bedges); F._graded_bisection also returns its edge table
     try:
-        return bisect(mesh.vertices, mesh.triangles, mesh.boundary_edges, *args)
+        return bisect(mesh.vertices, mesh.triangles, mesh.boundary_edges, *args)[:3]
     except BudgetExceeded as exc:
         return str(exc)
 
@@ -252,9 +295,40 @@ def test_graded_bisection_matches_oracle_deep_and_on_a_face(monkeypatch, poly, h
     assert len(got[2]) > len(uniform.boundary_edges) and on_face.any()
 
 
+def _relabel_one_side(keys, side_edge):
+    side_edge = side_edge.copy()
+    side_edge[7] = (side_edge[7] + 1) % len(keys)
+    return keys, side_edge
+
+
+def _a_side_on_a_split_edge(keys, side_edge):
+    side_edge = side_edge.copy()
+    side_edge[7] = -1  # the number the graded stage gives a side on a dead edge
+    return keys, side_edge
+
+
+def _an_edge_no_side_has(keys, side_edge):
+    return np.append(keys, keys[-1] + 1), side_edge
+
+
+@pytest.mark.parametrize("damage", [_relabel_one_side, _a_side_on_a_split_edge,
+                                    _an_edge_no_side_has])
+def test_damaged_graded_edge_table_is_refused(monkeypatch, damage):
+    # the graded stage's edge table is not sorted again, so validation checks it
+    graded = F._graded_bisection
+
+    def damaged(*args):
+        coords, tris, bedges, (keys, side_edge) = graded(*args)
+        return coords, tris, bedges, damage(keys, side_edge)
+
+    monkeypatch.setattr(F, "_graded_bisection", damaged)
+    with pytest.raises(ValidationError, match="edge table"):
+        F.triangulate(G.golden_square(), 0.3, grading=1.0)
+
+
 def _in_place_layout(nroots, splits):
     """The node of every row when each pass replaces, row by row, every parent
-    by its pieces: the layout of repeated ``F._bisect_marked`` calls."""
+    by its pieces: the layout of repeated ``_bisect_marked`` calls."""
     layout, n = list(range(nroots)), nroots
     for parents, counts in splits:
         pieces = {}
