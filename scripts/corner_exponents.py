@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from polyhom import fem
+from polyhom import fem, harness
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
     args = ap.parse_args()
 
     print(f"{'omega':>8} {'u fitted':>10} {'u theory':>10} "
-          f"{'grad fitted':>12} {'grad theory':>12}")
+          f"{'grad fitted':>12} {'grad stderr':>12} {'grad theory':>12}")
     for omega in args.omegas:
         theory = np.pi / omega
         probe = fem.corner_probe(omega, h=args.h, grading=1.0)
@@ -35,11 +35,9 @@ def main():
             fem.sector_polygon(omega), fem.CoefficientField.identity(), wdata,
             corner=(0.0, 0.0), direction=(np.cos(omega / 2), np.sin(omega / 2)),
             h=args.h, grading=1.0)
-        ds = np.array([s[0] for s in samples])
-        gs = np.array([s[1] for s in samples])
-        grad_fit = float(np.polyfit(np.log(ds), np.log(gs), 1)[0])
+        grad_fit = harness.fit_rate(samples)  # the log-log fit corner_probe uses
         print(f"{omega:8.4f} {probe['fitted_exponent']:10.4f} {theory:10.4f} "
-              f"{grad_fit:12.4f} {theory - 1.0:12.4f}")
+              f"{grad_fit.exponent:12.4f} {grad_fit.stderr:12.4f} {theory - 1.0:12.4f}")
 
 
 if __name__ == "__main__":

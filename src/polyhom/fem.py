@@ -8,9 +8,7 @@ form, and each bisection pass marks, closes and splits every edge at once,
 touching only the previous pass's pieces, the triangles across their sides
 and the edges it marks: triangles, edges (with the triangles on their two
 sides), coordinates and boundary rows are append-only, and the in-place
-depth-first order of the pieces is laid out once, after the last pass. The
-graded stage hands its edge table to the mesh, checked against the triangles'
-side keys in O(nt), so no side key is sorted again.
+depth-first order of the pieces is laid out once, after the last pass.
 The solver assembles the stiffness of -div(A grad u) in closed form with
 one-point coefficient quadrature at barycenters, summed on the mesh's one
 edge table (shared with validation) and leaving out roundoff entries
@@ -97,8 +95,8 @@ class TriMesh:
         """The edge table: sorted edge keys min * nv + max, and the int32 edge
         index of every triangle side in ``_edge_keys`` order.
 
-        A graded mesh from ``triangulate`` comes with the table its bisection
-        built; any other mesh sorts its side keys here.
+        The one place a mesh's edges are numbered, for every mesh: validation
+        and assembly read this table.
         """
         keys, side_edge = _unique_sides(_edge_keys(self.triangles, len(self.vertices)))
         return _frozen(keys), _frozen(side_edge)
@@ -145,30 +143,11 @@ def _unique_sides(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[first], index
 
 
-def _check_edge_table(mesh: TriMesh, keys: np.ndarray, side_edge: np.ndarray) -> None:
-    """Refuse an edge table built for ``mesh`` elsewhere unless every side
-    names an edge that holds the side's key and the keys strictly ascend.
-
-    With the edge count of ``_validate_mesh``, which refuses an edge that no
-    side names, this makes it the table ``TriMesh.edges`` would sort, at
-    O(nt) cost and without a sort.
-    """
-    nt = len(mesh.triangles)
-    sides = _edge_keys(mesh.triangles, len(mesh.vertices))
-    if not (len(side_edge) == 3 * nt and 0 <= side_edge.min() and side_edge.max() < len(keys)
-            and np.all(keys[1:] > keys[:-1])
-            and all(np.array_equal(np.take(keys, side_edge[q * nt:(q + 1) * nt]),
-                                   sides[q * nt:(q + 1) * nt]) for q in range(3))):
-        raise ValidationError("the mesh's edge table disagrees with its triangles")
-
-
 def _validate_mesh(mesh: TriMesh, polygon: ConvexPolytope) -> None:
     if np.any(mesh.areas <= 0):
         raise ValidationError("mesh has non-positive triangle areas")
     keys, side_edge = mesh.edges
     counts = np.bincount(side_edge, minlength=len(keys))
-    if counts.min() < 1:
-        raise ValidationError("the mesh's edge table has an edge that no triangle has")
     if counts.max() > 2:
         raise ValidationError("non-conforming mesh: edge shared by more than two triangles")
     be = mesh.boundary_edges
@@ -207,7 +186,9 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
     angle is below pi by more than ``_FLAT_TURN``, so a polygonal arc is not
     graded (a polygon without such a vertex is not graded at all). A grading,
     ``min_edge`` or ``grading_centers`` out of range, or ``max_vertices``
-    above 2**31, raises ``ValidationError``.
+    above 2**31, raises ``ValidationError``. Either stage's output is checked
+    on the mesh's own edge table (``TriMesh.edges``): a hanging node or an
+    edge on three triangles raises ``ValidationError``.
     """
     if polygon.dim != 2:
         raise UnsupportedDimension("triangulation is for d = 2 polygons")
@@ -283,18 +264,14 @@ def triangulate(polygon: ConvexPolytope, h: float, grading: float = 0.0,
     bedges = np.column_stack([ends.min(-1).ravel(), ends.max(-1).ravel(),
                               np.repeat(side_face, k)])
 
-    edges = None
     if grading > 0.0 and len(centers):
         diam = polygon.diameter
         floor = min_edge if min_edge is not None else 1e-4 * diam
-        coords, tris, bedges, edges = _graded_bisection(
+        coords, tris, bedges = _graded_bisection(
             coords, tris, bedges, centers, h, grading, diam, floor, max_vertices)
 
     bedges = bedges[np.lexsort((bedges[:, 1], bedges[:, 0]))]
     mesh = TriMesh(vertices=coords, triangles=tris, boundary_edges=bedges)
-    if edges is not None:
-        _check_edge_table(mesh, *edges)
-        vars(mesh)["edges"] = edges  # the cached_property's slot: no second sort
     _validate_mesh(mesh, polygon)
     return mesh
 
@@ -341,10 +318,8 @@ def _graded_bisection(coords, tris, bedges, centers, h, grading, diam, floor,
     across them. After the last pass ``_depth_first`` lays out the leaves
     with each triangle replaced in place by its pieces, the order a rewrite
     of the whole triangle list would give pass after pass. Returns (coords,
-    tris, bedges, edges): bedges are the live rows (a, b, face), a < b, in
-    row order, and edges is the table ``TriMesh.edges`` would sort from the
-    output, a side on a split edge (which no conforming run leaves) numbered
-    -1; ``_check_edge_table`` refuses such a table.
+    tris, bedges): bedges are the live rows (a, b, face), a < b, in row
+    order. The edge table is left to ``TriMesh.edges``.
     """
     nt0, nv = len(tris), len(coords)
     ekey, side = _unique_sides(_edge_keys(tris, 2**32))
@@ -457,39 +432,15 @@ def _graded_bisection(coords, tris, bedges, centers, h, grading, diam, floor,
         raise BudgetExceeded("graded refinement did not settle within 200 passes")
 
     # each table is dropped once read: the largest meshes peak in this phase
-    del eadj, brow, longest
+    del eadj, brow, longest, side
     ends = ekey[bedge[:nb]]
     alive = emid[bedge[:nb]] < 0
     bedges = np.column_stack([ends >> 32, ends & 0xFFFFFFFF, bface[:nb]])[alive]
+    del ekey, emid
     leaves = _depth_first(nt0, splits)
     del splits
     tris = np.take(tri, leaves, axis=0).astype(np.int64)
-    del tri
-    side = np.take(side, leaves, axis=0)
-    del leaves
-    # the live edges sorted by key, re-encoded min * nv + max, and the rank of each
-    live = emid[:ne] < 0
-    del emid
-    keys = ekey[:ne][live]
-    del ekey
-    order = np.argsort(keys)
-    keys = keys[order]
-    rank = np.empty(len(keys), dtype=np.int32)
-    rank[order] = np.arange(len(keys), dtype=np.int32)
-    del order
-    a = keys >> 32
-    keys &= 0xFFFFFFFF
-    a *= nv
-    keys += a
-    del a
-    edge_rank = np.full(ne, -1, dtype=np.int32)
-    edge_rank[live] = rank
-    del live, rank
-    nt = len(tris)
-    side_edge = np.empty(3 * nt, dtype=np.int32)  # in _edge_keys order
-    for q in range(3):
-        np.take(edge_rank, side[:, q], out=side_edge[q * nt:(q + 1) * nt])
-    return coords[:nv].copy(), tris, bedges, (_frozen(keys), _frozen(side_edge))
+    return coords[:nv].copy(), tris, bedges
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -622,6 +573,8 @@ class CoefficientField:
     @classmethod
     def constant(cls, matrix) -> "CoefficientField":
         A = np.asarray(matrix, dtype=float)
+        if not np.isfinite(A).all():
+            raise ValidationError("coefficient matrix must be finite")
         if A.shape != (2, 2) or A[0, 1] != A[1, 0]:
             raise NonSymmetricCoefficients("constant coefficient matrix must be symmetric 2x2")
         w = np.linalg.eigvalsh(A)
@@ -637,6 +590,8 @@ class CoefficientField:
         if out.shape != (len(points), 2, 2):
             raise ValidationError(f"a coefficient evaluator must map (n, 2) points to shape "
                                   f"({len(points)}, 2, 2), got shape {out.shape}")
+        if not np.isfinite(out).all():
+            raise ValidationError("a coefficient evaluator returned a non-finite matrix")
         return out
 
 
@@ -655,7 +610,7 @@ class DirichletProblem:
         explicit_mode = self.explicit_data is not None
         if periodic_mode == explicit_mode:
             raise ValidationError("exactly one of periodic_data and explicit_data is required")
-        if periodic_mode and (self.epsilon is None or self.epsilon <= 0):
+        if periodic_mode and not (self.epsilon is not None and self.epsilon > 0):  # also nan
             raise ValidationError("epsilon must be positive in periodic mode")
 
     def boundary_values(self, points: np.ndarray) -> np.ndarray:
@@ -667,6 +622,8 @@ class DirichletProblem:
         if vals.shape != (len(points),):
             raise ValidationError(f"explicit_data must map (n, 2) points to shape "
                                   f"({len(points)},), got shape {vals.shape}")
+        if not np.isfinite(vals).all():
+            raise ValidationError("explicit_data returned a non-finite boundary value")
         return vals
 
 

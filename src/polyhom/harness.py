@@ -51,7 +51,7 @@ class SweepConfig:
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ValidationError("epsilons must not be empty")
-        if any(e <= 0 for e in eps):
+        if not all(e > 0 for e in eps):  # also refuses nan
             raise ValidationError("epsilons must be positive")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ValidationError("epsilons must be strictly decreasing")
@@ -423,7 +423,7 @@ def build_rate_report(result: SweepResult, alpha_star: float,
         except DegenerateFit:
             continue
     envelopes = []
-    beta = theo[result.config.p_values[0]]["beta"] if theo else 1.0 - delta
+    beta = theo[result.config.p_values[0]]["beta"]  # SweepConfig refuses empty p_values
     for i in range(len(result.config.probe_points)):
         envelopes.append(pointwise_envelope(result, i, beta, delta))
     for p, f in lp_fits.items():

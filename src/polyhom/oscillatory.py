@@ -254,8 +254,7 @@ def _segment_integral(p: np.ndarray, q: np.ndarray, lam: float, m: np.ndarray) -
     L = float(np.linalg.norm(q - p))
     w = lam * float(m @ (q - p))
     mid = 0.5 * (p + q)
-    if abs(w) <= _SMALL_PHASE:
-        return L * np.exp(2j * np.pi * lam * float(m @ mid))
+    # np.sinc(w) is exactly 1.0 at w = 0 and for every |w| <= 1e-13
     return L * np.exp(2j * np.pi * lam * float(m @ mid)) * np.sinc(w)
 
 

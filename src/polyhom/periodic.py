@@ -44,6 +44,8 @@ def from_coefficients(dim: int, entries) -> PeriodicFunction:
         if len(m) != dim:
             raise DimensionMismatch(f"frequency {m} has {len(m)} components, expected {dim}")
         cm = complex(cm)
+        if not np.isfinite(cm):  # JSON accepts NaN and Infinity
+            raise ValidationError(f"coefficient of frequency {m} must be finite, got {cm}")
         if cm != 0:
             coeffs[m] = coeffs.get(m, 0.0) + cm
     coeffs = {m: c for m, c in coeffs.items() if c != 0}

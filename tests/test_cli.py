@@ -96,6 +96,10 @@ def _tangent_first_square(tmp_path):
     ("sweep", {"epsilons": [0.5], "eta": math.inf}, "eta and delta must be finite and positive"),
     ("sweep", {"epsilons": [0.5], "eta": 2.0, "delta": math.nan},
      "eta and delta must be finite and positive"),
+    # JSON accepts NaN: a NaN Fourier coefficient used to run CG to max_iter
+    ("sweep", {"periodic": "nan", "epsilons": [0.5], "eta": 2.0},
+     "coefficient of frequency (1, 0) must be finite"),
+    ("sweep", {"epsilons": [0.5, math.nan], "eta": 2.0}, "epsilons must be positive"),
 ])
 def test_config_edge_cases_are_validation_failures(tmp_path, capsys, monkeypatch, golden_files,
                                                    mode, doc, message):
@@ -106,6 +110,9 @@ def test_config_edge_cases_are_validation_failures(tmp_path, capsys, monkeypatch
     poly, gpath = golden_files
     if doc.get("polytope") == "tangent":
         poly = _tangent_first_square(tmp_path)
+    if doc.get("periodic") == "nan":
+        doc = {**doc, "periodic": _write(tmp_path / "nan.json", {
+            "dim": 2, "coeffs": [{"m": [1, 0], "re": math.nan}]})}
     cfg = _write(tmp_path / "c.json", {"schema": 1, "periodic": gpath, **doc, "polytope": poly})
     assert main([mode, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -250,6 +257,21 @@ def test_solve_mode_nan_grading_is_validation_failure(tmp_path, capsys):
     assert "NaN" in (tmp_path / "c.json").read_text()
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "error: grading must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"boundary": {"type": "constant", "value": math.nan}},
+     "explicit_data returned a non-finite boundary value"),
+    ({"coefficients": {"type": "constant", "matrix": [[math.inf, 0.0], [0.0, 1.0]]}},
+     "coefficient matrix must be finite"),
+], ids=["nan-value", "inf-coefficient"])
+def test_solve_mode_non_finite_input_is_validation_failure(tmp_path, capsys, doc, message):
+    cfg = _write(tmp_path / "c.json", {
+        "schema": 1, "polytope": _write(tmp_path / "sq.json",
+                                        G.polytope_to_dict(G.unit_square())),
+        "boundary": {"type": "constant", "value": 1.0}, "h": 0.2, **doc})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def _golden_sweep_config(tmp_path, golden_files):

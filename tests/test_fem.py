@@ -236,9 +236,8 @@ def _full_recompute_graded_bisection(coords, tris, bedges, centers, h, grading, 
 
 
 def _graded_or_budget(bisect, mesh, *args):
-    # the mesh arrays (coords, tris, bedges); F._graded_bisection also returns its edge table
     try:
-        return bisect(mesh.vertices, mesh.triangles, mesh.boundary_edges, *args)[:3]
+        return bisect(mesh.vertices, mesh.triangles, mesh.boundary_edges, *args)
     except BudgetExceeded as exc:
         return str(exc)
 
@@ -293,37 +292,6 @@ def test_graded_bisection_matches_oracle_deep_and_on_a_face(monkeypatch, poly, h
     on_face = np.abs(got[0][got[2][:, 0]] @ G.faces(poly)[0].normal
                      - G.faces(poly)[0].offset) < 1e-12
     assert len(got[2]) > len(uniform.boundary_edges) and on_face.any()
-
-
-def _relabel_one_side(keys, side_edge):
-    side_edge = side_edge.copy()
-    side_edge[7] = (side_edge[7] + 1) % len(keys)
-    return keys, side_edge
-
-
-def _a_side_on_a_split_edge(keys, side_edge):
-    side_edge = side_edge.copy()
-    side_edge[7] = -1  # the number the graded stage gives a side on a dead edge
-    return keys, side_edge
-
-
-def _an_edge_no_side_has(keys, side_edge):
-    return np.append(keys, keys[-1] + 1), side_edge
-
-
-@pytest.mark.parametrize("damage", [_relabel_one_side, _a_side_on_a_split_edge,
-                                    _an_edge_no_side_has])
-def test_damaged_graded_edge_table_is_refused(monkeypatch, damage):
-    # the graded stage's edge table is not sorted again, so validation checks it
-    graded = F._graded_bisection
-
-    def damaged(*args):
-        coords, tris, bedges, (keys, side_edge) = graded(*args)
-        return coords, tris, bedges, damage(keys, side_edge)
-
-    monkeypatch.setattr(F, "_graded_bisection", damaged)
-    with pytest.raises(ValidationError, match="edge table"):
-        F.triangulate(G.golden_square(), 0.3, grading=1.0)
 
 
 def _in_place_layout(nroots, splits):
@@ -422,23 +390,33 @@ def test_random_polygon_mesh_and_affine_solve(seed, h, grading):
 
 
 def _broken_meshes():
-    """Four invalid meshes made from one valid one, with the refusal each must raise."""
+    """Five invalid meshes made from one valid one, with the refusal each must raise."""
     mesh = F.triangulate(G.unit_square(), 0.5)
     v, t, be = (a.copy() for a in (mesh.vertices, mesh.triangles, mesh.boundary_edges))
     clockwise = t.copy()
     clockwise[0] = t[0, [0, 2, 1]]
     off_face = be.copy()
     off_face[0, 2] = (be[0, 2] + 1) % 4
+    # triangle k split at the midpoint of its interior side s, its neighbour left
+    # whole: the hanging node leaves the side's halves and the whole side on one
+    # triangle each
+    side_edge = mesh.edges[1]
+    first = int(np.flatnonzero(np.bincount(side_edge)[side_edge] == 2)[0])
+    s, k = divmod(first, len(t))
+    a, b, c = t[k, [s, (s + 1) % 3, (s + 2) % 3]]
+    hanging = np.vstack([np.delete(t, k, axis=0), [[a, len(v), c], [len(v), b, c]]])
     return [
         (F.TriMesh(v, clockwise, be), "non-positive triangle areas"),
         # a second copy of triangle 0 puts a third triangle on its interior sides
         (F.TriMesh(v, np.vstack([t, t[:1]]), be), "edge shared by more than two triangles"),
         (F.TriMesh(v, t, be[1:]), "tagged boundary edges disagree with mesh connectivity"),
         (F.TriMesh(v, t, off_face), "a tagged boundary edge is off its face's line"),
+        (F.TriMesh(np.vstack([v, 0.5 * (v[a] + v[b])]), hanging, be),
+         "tagged boundary edges disagree with mesh connectivity"),
     ]
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(5))
 def test_validate_mesh_refuses_broken_meshes(case):
     F._validate_mesh(F.triangulate(G.unit_square(), 0.5), G.unit_square())
     mesh, message = _broken_meshes()[case]
@@ -849,6 +827,26 @@ def test_coefficient_evaluator_must_be_vectorised():
                               explicit_data=lambda pts: np.zeros(len(pts)))
     with pytest.raises(ValidationError):
         F.solve_dirichlet(prob, F.triangulate(G.unit_square(), 0.5))
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: F.CoefficientField.constant([[np.inf, 0.0], [0.0, 1.0]]),
+     "coefficient matrix must be finite"),
+    (lambda: F.CoefficientField.constant([[1.0, np.nan], [np.nan, 1.0]]),
+     "coefficient matrix must be finite"),
+    (lambda: F.CoefficientField(evaluator=lambda pts: np.full((len(pts), 2, 2), np.inf))
+     .evaluate_many(np.zeros((3, 2))), "non-finite matrix"),
+    # refused before CG, which would run to max_iter on a NaN right-hand side
+    (lambda: F.DirichletProblem(polygon=G.unit_square(), coefficients=I2,
+                                explicit_data=lambda pts: np.full(len(pts), np.nan))
+     .boundary_values(np.zeros((3, 2))), "non-finite boundary value"),
+    (lambda: F.DirichletProblem(polygon=G.unit_square(), coefficients=I2,
+                                periodic_data=P.from_coefficients(2, {(1, 0): 1.0}),
+                                epsilon=np.nan), "epsilon must be positive"),
+], ids=["constant-inf", "constant-nan", "evaluator-inf", "explicit-nan", "periodic-nan-epsilon"])
+def test_non_finite_coefficients_and_boundary_values_are_refused(refuse, message):
+    with pytest.raises(ValidationError, match=message):
+        refuse()
 
 
 def test_galerkin_residual_bound():

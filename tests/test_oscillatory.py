@@ -230,6 +230,14 @@ def test_face_average_axis_square_negative_control():
     left = [f for f in G.faces(G.unit_square()) if f.index == 0][0]
     for lam in (10.0, 100.0, 1000.0):
         assert O.face_average(left, _cos_g(), lam) == pytest.approx(1.0, abs=1e-12)
+    # phases w = lam m . (q - p) of 0 and +-1e-13 give exactly L exp(2 pi i lam m . mid)
+    m = np.array([1.0, 0.0])
+    for p, q, lam in (([0.3, 0.0], [0.3, 1.0], 10.0), ([0.0, 0.0], [1e-13, 1.0], 1.0),
+                      ([0.0, 0.0], [-1e-13, 1.0], 1.0)):
+        p, q = np.array(p), np.array(q)
+        assert abs(lam * float(m @ (q - p))) in (0.0, 1e-13)
+        want = float(np.linalg.norm(q - p)) * np.exp(2j * np.pi * lam * float(m @ (0.5 * (p + q))))
+        assert O._segment_integral(p, q, lam, m) == want
 
 
 def test_boundary_average_constant():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyhom import periodic as P
-from polyhom.errors import DimensionMismatch
+from polyhom.errors import DimensionMismatch, ValidationError
 
 
 def _cosine():
@@ -84,6 +84,15 @@ def test_json_roundtrip(tmp_path):
     # keys that are not read, such as an old "declared_smoothness", are ignored
     extra = P.load_periodic({**P.periodic_to_dict(g), "declared_smoothness": 1.0})
     assert extra.coefficients == g.coefficients
+
+
+@pytest.mark.parametrize("re, im", [(float("nan"), 0.0), (0.5, float("inf"))])
+def test_load_periodic_refuses_non_finite_coefficients(tmp_path, re, im):
+    # JSON accepts NaN and Infinity, and either would reach the solver
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"dim": 2, "coeffs": [{"m": [1, 0], "re": re, "im": im}]}))
+    with pytest.raises(ValidationError, match=r"frequency \(1, 0\) must be finite"):
+        P.load_periodic(path)
 
 
 @settings(max_examples=40, deadline=None)
