@@ -777,6 +777,11 @@ def hyperplane_lift(nu: np.ndarray, c: float, axis: int, u) -> np.ndarray:
     return out
 
 
+def _lattice_run(lo: float, hi: float, rho: float, snap: float) -> range:
+    """Indices n whose lattice interval [n rho, (n+1) rho] lies in [lo - snap, hi + snap]."""
+    return range(int(np.ceil((lo - snap) / rho - 1e-12)), int(np.floor((hi + snap) / rho + 1e-12)))
+
+
 def lattice_partition(face: Face, axis: int, rho: float) -> FacePartition:
     """Partition a face into preimages of lattice rho-cubes under pi_axis.
 
@@ -785,6 +790,13 @@ def lattice_partition(face: Face, axis: int, rho: float) -> FacePartition:
     through the (bijective) coordinate projection; the leftover E is stored
     as explicit convex pieces and is contained in the strip of width
     c0 * rho, c0 = 2 sqrt(d-1) / |nu_axis|.
+
+    One interval rule finds the cells (`_lattice_run`): for d = 2 they are
+    the lattice run inside the projected segment. For d = 3 the projected
+    polygon is cut into columns [a rho, (a+1) rho]; a square of a column lies
+    in the convex polygon exactly when both of its vertical sides do, so its
+    rows are the lattice run inside both sides of the column's strip, and the
+    strip above and below that run (all of it when the run is empty) is E.
     """
     if rho <= 0:
         raise ValidationError("rho must be positive")
@@ -796,116 +808,50 @@ def lattice_partition(face: Face, axis: int, rho: float) -> FacePartition:
     if d not in (2, 3):
         raise UnsupportedDimension("lattice partition implemented for d = 2, 3")
 
-    snap = 1e-9
     c0 = 2.0 * np.sqrt(d - 1.0) / abs(nu[axis])
-    others = [j for j in range(d) if j != axis]
-
+    cell_measure = rho ** (d - 1) / abs(nu[axis])
+    proj = face.vertices[:, [j for j in range(d) if j != axis]]
+    squares, pieces = [], []  # (index, projected corners), (projected piece, projected measure)
     if d == 2:
-        j = others[0]
-        lo, hi = sorted(float(v[j]) for v in face.vertices)
-        n0 = int(np.ceil((lo - snap) / rho - 1e-12))
-        n1 = int(np.floor((hi + snap) / rho + 1e-12))  # cells n0 .. n1-1
-        cells = []
-        cell_measure = rho / abs(nu[axis])
-        for n in range(n0, n1):
-            ends = hyperplane_lift(nu, c, axis, np.array([[n * rho], [(n + 1) * rho]]))
-            cells.append(PartitionCell(lattice_index=(n,), vertices=_readonly(ends),
-                                       measure=cell_measure))
-        gaps = [(lo, n0 * rho), (n1 * rho, hi)] if n1 > n0 else [(lo, hi)]
-        pieces = []
-        e_measure = 0.0
-        for a, b in gaps:
-            if b - a > snap:
-                seg = hyperplane_lift(nu, c, axis, np.array([[a], [b]]))
-                pieces.append(_readonly(seg))
-                e_measure += (b - a) / abs(nu[axis])
-        leftover = Leftover(pieces=tuple(pieces), measure=e_measure)
-        return FacePartition(face=face, axis=axis, cell_size=float(rho),
-                             cells=tuple(cells), leftover=leftover, c0=float(c0))
+        lo, hi = sorted(proj[:, 0])
+        run = _lattice_run(lo, hi, rho, 1e-9)
+        squares = [((n,), [[n * rho], [(n + 1) * rho]]) for n in run]
+        gaps = [(lo, run.start * rho), (run.stop * rho, hi)] if run else [(lo, hi)]
+        pieces = [([[a], [b]], b - a) for a, b in gaps if b - a > 1e-9]
+    else:
+        snap = 1e-12  # cube-containment slack; keeps exactly-flush lattice squares
+        for a in range(int(np.floor((proj[:, 0].min() - snap) / rho)),
+                       int(np.ceil((proj[:, 0].max() + snap) / rho))):
+            x0, x1 = a * rho, (a + 1) * rho
+            strip = _clip_halfplane(_clip_halfplane(list(proj), np.array([1.0, 0.0]), x1),
+                                    np.array([-1.0, 0.0]), -x0)
+            if len(strip) < 3:
+                continue
+            sides = [[v for u, v in strip if abs(u - x) <= GEOM_TOL] for x in (x0, x1)]
+            run = (_lattice_run(max(map(min, sides)), min(map(max, sides)), rho, snap)
+                   if sides[0] and sides[1] else range(0))
+            squares += [((a, b), [[x0, b * rho], [x1, b * rho], [x1, (b + 1) * rho],
+                                  [x0, (b + 1) * rho]]) for b in run]
+            rest = ([_clip_halfplane(strip, np.array([0.0, -1.0]), -run.stop * rho),
+                     _clip_halfplane(strip, np.array([0.0, 1.0]), run.start * rho)]
+                    if run else [strip])  # the strip above and below the run, or all of it
+            for q in (np.reshape(p, (-1, 2)) for p in rest):  # shoelace: 0 below 3 points
+                area = abs(0.5 * np.sum(q[:, 0] * np.roll(q[:, 1], -1)
+                                        - np.roll(q[:, 0], -1) * q[:, 1]))
+                if area / abs(nu[axis]) > 1e-15:
+                    pieces.append((q, area))
 
-    # d == 3: project the face polygon by dropping the eliminated coordinate
-    proj = face.vertices[:, others]
-    area2 = 0.5 * np.sum(proj[:, 0] * np.roll(proj[:, 1], -1) - np.roll(proj[:, 0], -1) * proj[:, 1])
-    if area2 < 0:
-        proj = proj[::-1]
-    # half-plane form alpha . u <= beta of the projected convex polygon (CCW)
-    alphas, betas = [], []
-    for i in range(len(proj)):
-        t = proj[(i + 1) % len(proj)] - proj[i]
-        a = np.array([t[1], -t[0]])
-        a /= np.linalg.norm(a)
-        alphas.append(a)
-        betas.append(float(a @ proj[i]))
-    alphas = np.array(alphas)
-    betas = np.array(betas)
+    def lift(u):
+        return _readonly(hyperplane_lift(nu, c, axis, np.array(u, dtype=float)))
 
-    snap = 1e-12  # cube-containment slack; keeps exactly-flush lattice cubes
-    lo1, hi1 = float(proj[:, 0].min()), float(proj[:, 0].max())
-    a_first = int(np.floor((lo1 - snap) / rho))
-    a_last = int(np.ceil((hi1 + snap) / rho))
-
-    jacobian = 1.0 / abs(nu[axis])
-    cell_measure = rho * rho * jacobian
-    cells = []
-    pieces_2d: list[np.ndarray] = []
-    for a in range(a_first, a_last):
-        u1a, u1b = a * rho, (a + 1) * rho
-        # integer b-range such that the square [u1a,u1b] x [b rho,(b+1) rho]
-        # satisfies every half-plane at its worst corner
-        b_lo, b_hi = -np.inf, np.inf
-        feasible = True
-        for al, be in zip(alphas, betas):
-            x_worst = u1b if al[0] > 0 else u1a
-            rem = be - al[0] * x_worst + snap
-            if abs(al[1]) <= 1e-14:
-                if rem < 0:
-                    feasible = False
-                    break
-            elif al[1] > 0:
-                b_hi = min(b_hi, rem / (al[1] * rho) - 1.0)
-            else:
-                b_lo = max(b_lo, rem / (al[1] * rho))
-        bs = []
-        if feasible and np.isfinite(b_lo) and np.isfinite(b_hi):
-            b0 = int(np.ceil(b_lo - 1e-12))
-            b1 = int(np.floor(b_hi + 1e-12))
-            bs = list(range(b0, b1 + 1))
-        for b in bs:
-            corners = np.array([[u1a, b * rho], [u1b, b * rho],
-                                [u1b, (b + 1) * rho], [u1a, (b + 1) * rho]])
-            quad = hyperplane_lift(nu, c, axis, corners)
-            cells.append(PartitionCell(lattice_index=(a, b), vertices=_readonly(quad),
-                                       measure=cell_measure))
-        # leftover pieces of this column: clip polygon to the slab, remove the
-        # contiguous covered rectangle (convexity makes the covered b-range
-        # contiguous, so the remainder splits into a top and a bottom piece)
-        strip = _clip_halfplane([p for p in proj], np.array([1.0, 0.0]), u1b)
-        strip = _clip_halfplane(strip, np.array([-1.0, 0.0]), -u1a)
-        if len(strip) < 3:
-            continue
-        if bs:
-            top = _clip_halfplane(list(strip), np.array([0.0, -1.0]), -(bs[-1] + 1) * rho)
-            bot = _clip_halfplane(list(strip), np.array([0.0, 1.0]), bs[0] * rho)
-            for piece in (top, bot):
-                if len(piece) >= 3:
-                    pieces_2d.append(np.array(piece))
-        else:
-            pieces_2d.append(np.array(strip))
-
-    pieces = []
-    e_measure = 0.0
-    for q in pieces_2d:
-        area = 0.5 * np.sum(q[:, 0] * np.roll(q[:, 1], -1) - np.roll(q[:, 0], -1) * q[:, 1])
-        if abs(area) * jacobian <= 1e-15:
-            continue
-        e_measure += abs(area) * jacobian
-        pieces.append(_readonly(hyperplane_lift(nu, c, axis, q)))
-    leftover = Leftover(pieces=tuple(pieces), measure=e_measure)
-
-    part = FacePartition(face=face, axis=axis, cell_size=float(rho),
-                         cells=tuple(cells), leftover=leftover, c0=float(c0))
-    total = len(cells) * cell_measure + e_measure
-    if abs(total - face.measure) > 1e-9 * max(1.0, face.measure):
+    cells = tuple(PartitionCell(lattice_index=i, vertices=lift(u), measure=cell_measure)
+                  for i, u in squares)
+    leftover = Leftover(pieces=tuple(lift(q) for q, _ in pieces),
+                        measure=sum((m / abs(nu[axis]) for _, m in pieces), 0.0))
+    total = len(cells) * cell_measure + leftover.measure
+    # d = 2 snaps the run's ends and drops gaps at 1e-9, beyond this check's slack
+    if d == 3 and abs(total - face.measure) > 1e-9 * max(1.0, face.measure):
         raise ValidationError(
             f"partition does not cover the face: {total!r} vs {face.measure!r}")
-    return part
+    return FacePartition(face=face, axis=axis, cell_size=float(rho),
+                         cells=cells, leftover=leftover, c0=float(c0))

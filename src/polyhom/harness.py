@@ -329,7 +329,7 @@ def fit_rate(pairs) -> RateFit:
         raise DegenerateFit("all epsilons identical")
     slope = float(np.sum((lx - lx.mean()) * (ly - ly.mean())) / sxx)
     resid = ly - (ly.mean() + slope * (lx - lx.mean()))
-    s2 = float(np.sum(resid ** 2) / max(len(pairs) - 2, 1))
+    s2 = float(np.sum(resid ** 2) / (len(pairs) - 2))
     return RateFit(exponent=slope, stderr=float(np.sqrt(s2 / sxx)), n_points=len(pairs))
 
 
@@ -352,7 +352,7 @@ def fit_rate_guarded(pairs) -> RateFit:
     pred = intercept + rest.exponent * np.log(pairs[0][0])
     resid0 = abs(float(np.log(pairs[0][1])) - pred)
     s = float(np.sqrt(np.sum((ly - (intercept + rest.exponent * lx)) ** 2)
-                      / max(len(pairs) - 3, 1)))
+                      / (len(pairs) - 3)))
     if resid0 > 3.0 * s + 1e-9:
         return RateFit(exponent=rest.exponent, stderr=rest.stderr,
                        n_points=rest.n_points, dropped_largest=True)

@@ -30,7 +30,6 @@ from .geometry import ConvexPolytope, Face, _readonly, faces, hyperplane_lift
 # unused here; kept importable because perfbench/layers.py wraps it under this module
 from .geometry import lattice_partition  # noqa: F401
 
-_SMALL_PHASE = 1e-13
 _TAYLOR_PHASE = 1e-3
 _GAUSS_ORDER = 8
 _GLX, _GLW = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
@@ -111,12 +110,9 @@ def _interval_factor(theta: float, lam: float, a: float, b: float) -> complex:
 
     Uses the exact midpoint-sinc form, which equals
     (exp(2 pi i lam theta b) - exp(2 pi i lam theta a)) / (2 pi i lam theta)
-    without subtractive cancellation; below the small-phase threshold the
-    limit (b - a) is returned directly.
+    without subtractive cancellation and is b - a bit for bit at theta = 0.
     """
     w = lam * theta
-    if abs(w) <= _SMALL_PHASE * max(abs(a), abs(b), 1.0):
-        return complex(b - a)
     return (b - a) * np.exp(2j * np.pi * w * (a + b) / 2.0) * np.sinc(w * (b - a))
 
 

@@ -871,6 +871,41 @@ def test_lattice_partition_3d_invariants(rng):
                 assert f.dist_to_relative_boundary(np.asarray(y)) <= p.c0 * rho + 1e-9
 
 
+def _lattice_cells_brute_force(face, axis, rho):
+    """Every lattice square (segment for d = 2) whose corners all lie in the
+    projected face up to 1e-12, a-major then b ascending."""
+    proj = face.vertices[:, [j for j in range(face.dim) if j != axis]]
+    lo, hi = np.floor(proj.min(axis=0) / rho) - 1, np.ceil(proj.max(axis=0) / rho) + 1
+    if face.dim == 2:
+        return [(n,) for n in range(int(lo[0]), int(hi[0]))
+                if proj.min() - 1e-12 <= n * rho and (n + 1) * rho <= proj.max() + 1e-12]
+    ab = np.array(list(itertools.product(range(int(lo[0]), int(hi[0])),
+                                         range(int(lo[1]), int(hi[1])))))
+    corners = (ab[:, None, :] + np.array([[0, 0], [1, 0], [1, 1], [0, 1]])) * rho
+    e = np.roll(proj, -1, axis=0) - proj
+    sign = np.sign(np.sum(proj[:, 0] * e[:, 1] - proj[:, 1] * e[:, 0]))
+    rel = corners[:, :, None, :] - proj  # (square, corner, edge, xy)
+    inside = sign * (e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0])
+    keep = np.all(inside >= -1e-12 * np.linalg.norm(e, axis=1), axis=(1, 2))
+    return [tuple(map(int, q)) for q in ab[keep]]
+
+
+def test_lattice_partition_is_maximal(rng):
+    # the cells are every lattice square inside the projected face, none left out
+    checked = 0
+    bodies = [random_convex_polygon(rng) for _ in range(30)]
+    bodies += [random_convex_polytope_3d(rng) for _ in range(12)]
+    for f in [g for poly in bodies for g in G.faces(poly)]:
+        for k in (k for k in range(f.dim) if abs(f.normal[k]) >= 0.05):
+            for rho in (0.05, 0.11, 0.3):
+                p = G.lattice_partition(f, k, rho)
+                assert [c.lattice_index for c in p.cells] == _lattice_cells_brute_force(f, k, rho)
+                checked += 1
+    cube = G.lattice_partition(_face_by_index(G.unit_cube(), 0), 0, 0.25)
+    assert [c.lattice_index for c in cube.cells] == [(a, b) for a in range(4) for b in range(4)]
+    assert checked > 2000
+
+
 def test_projection_distortion_inequality(rng):
     # 1000 random point pairs across random 2-D and 3-D faces
     faces_pool = []

@@ -24,11 +24,14 @@ def test_theoretical_rates_square_case():
     assert t["gamma"] == pytest.approx(0.5)
     assert t["lp_upper"] == pytest.approx(0.5, abs=1e-8)
     assert t["pointwise_exp"] == pytest.approx(0.5, abs=1e-8)
+    # p = 1: gamma = 1/2 caps 1/p = 1
+    assert H.theoretical_rates(2, 1.0, 1.0, 0.01)["lp_upper"] == pytest.approx(0.5 - 0.01)
 
 
 def test_theoretical_rates_hexagon_case():
     t = H.theoretical_rates(2, 0.5, 2.0, 0.01)
     assert t["gamma"] == pytest.approx(1.0 / 3.0)
+    assert t["lp_upper"] == pytest.approx(1.0 / 3.0 - 0.01)  # the corner cap binds, not 1/p
 
 
 def test_theoretical_rates_3d_case():
@@ -63,6 +66,16 @@ def test_fit_rate_exact_line():
     fit = H.fit_rate([(e, e) for e in eps])
     assert fit.exponent == pytest.approx(1.0, abs=1e-12)
     assert fit.stderr == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fit_rate_stderr_closed_form():
+    # residuals (+r, -r, -r, +r) are orthogonal to 1 and to log eps, so the
+    # exponent stays exact and stderr^2 = (4 r^2 / (n - 2)) / (5 ln^2 2)
+    eps = [1 / 2, 1 / 4, 1 / 8, 1 / 16]
+    r = 0.01
+    fit = H.fit_rate([(e, e ** 0.5 * np.exp(s * r)) for e, s in zip(eps, (1, -1, -1, 1))])
+    assert fit.exponent == pytest.approx(0.5, abs=1e-12)
+    assert fit.stderr == pytest.approx(np.sqrt(2.0 * r * r / (5.0 * np.log(2.0) ** 2)), rel=1e-9)
 
 
 def test_fit_rate_scaled_half_power():

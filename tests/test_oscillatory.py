@@ -74,6 +74,12 @@ def test_zero_frequency_gives_measure():
         v = O.patch_integral_closed_form(patch, lam, (0, 0))
         assert v.value == pytest.approx(O.patch_measure(patch), abs=1e-12)
         assert v.method == "closed_form"
+    # one interval factor: b - a bit for bit at theta = 0, and a phase far
+    # below roundoff keeps its first-order term (b - a)(1 + pi i lam theta (a + b))
+    exact = O._interval_factor(0.0, 7.3, 0.1, 0.4)
+    assert exact.real == 0.4 - 0.1 and exact.imag == 0.0
+    tiny = O._interval_factor(1e-15, 1.0, 3.0, 4.0)
+    assert abs(tiny - (1.0 + np.pi * 1j * 1e-15 * 7.0)) < 1e-20
 
 
 def test_hand_evaluated_diagonal_case():
